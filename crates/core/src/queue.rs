@@ -27,6 +27,12 @@
 //! halves of a MOP together, since dependence tracking is in the MOP ID
 //! name space (Section 5.3.2) — and re-broadcasts when the data arrives,
 //! plus the configured replay penalty.
+//!
+//! Wakeup bookkeeping is incremental (DESIGN §6): each entry caches the
+//! earliest cycle it may request selection, and only entries whose source
+//! tags changed visibility recompute it, so a cycle in which no tag
+//! changed does no per-entry work. Debug builds cross-check every cycle's
+//! requester and release sets against a brute-force scan.
 
 use mos_isa::FuKind;
 use mos_metrics::Hist;
@@ -35,6 +41,10 @@ use crate::config::{SchedConfig, SchedulerKind};
 use crate::events::TraceEvent;
 use crate::slots::{SlotCause, SlotCounts};
 use crate::uop::{SchedUop, Tag, UopId};
+
+/// A cycle that never arrives: the visible wakeup of a tag whose
+/// broadcast is unknown or revoked.
+const NEVER: u64 = u64::MAX;
 
 /// Handle to an occupied issue-queue entry (generation-checked).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,6 +91,8 @@ impl std::error::Error for InsertError {}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
+    /// Unoccupied slot; its `uops`/`srcs` storage is kept for reuse.
+    Free,
     Waiting,
     Issued,
 }
@@ -88,6 +100,7 @@ enum EntryState {
 #[derive(Debug, Clone)]
 struct Entry {
     gen: u64,
+    state: EntryState,
     uops: Vec<SchedUop>,
     /// Merged source tags (internal MOP edges removed).
     srcs: Vec<Tag>,
@@ -95,15 +108,11 @@ struct Entry {
     fu: FuKind,
     age: UopId,
     pending_tail: bool,
-    state: EntryState,
     /// Entry has been denied a grant at least once while woken
     /// (select-free collision bookkeeping).
     collided: bool,
     /// Entry may not request selection before this cycle (replay penalty).
     hold_until: u64,
-    confirm_at: Option<u64>,
-    /// Select-free: speculative wake broadcast already sent.
-    spec_broadcast: bool,
     /// First cycle the entry requested selection with all sources ready
     /// (metrics only; cleared on replay so each grant measures its own
     /// wakeup→select slack).
@@ -111,6 +120,22 @@ struct Entry {
 }
 
 impl Entry {
+    fn vacant() -> Entry {
+        Entry {
+            gen: 0,
+            state: EntryState::Free,
+            uops: Vec::new(),
+            srcs: Vec::new(),
+            dst: None,
+            fu: FuKind::IntAlu,
+            age: UopId(0),
+            pending_tail: false,
+            collided: false,
+            hold_until: 0,
+            woken_at: None,
+        }
+    }
+
     fn latency(&self, config: &SchedConfig) -> u32 {
         if self.uops.len() > 1 {
             // A MOP is a non-pipelined multi-cycle unit; one cycle per uop.
@@ -130,13 +155,66 @@ impl Entry {
     }
 }
 
+/// A set of queue slots, one bit per slot.
+#[derive(Debug, Clone, Default)]
+struct EntrySet(Vec<u64>);
+
+impl EntrySet {
+    fn new(cap: usize) -> EntrySet {
+        EntrySet(vec![0; cap.div_ceil(64)])
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        (self.0[i / 64] >> (i % 64)) & 1 != 0
+    }
+}
+
+/// The set bits of mask word `w`, as ascending slot indices.
+fn slots_in(word: u64, w: usize) -> impl Iterator<Item = usize> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            w * 64 + bit
+        })
+    })
+}
+
+/// When a scan over cached wake cycles may be skipped: its outcome can
+/// only change once an entry is marked dirty (the tag table's epoch
+/// moves) or the earliest cached cycle the last scan saw arrives.
 #[derive(Debug, Clone, Copy, Default)]
+struct ScanGate {
+    epoch: u64,
+    next: u64,
+}
+
+impl ScanGate {
+    fn due(&self, epoch: u64, now: u64) -> bool {
+        epoch != self.epoch || now >= self.next
+    }
+}
+
+/// Per-tag scheduling state. Unknown times are `NEVER` rather than
+/// `Option`s, which keeps a table slot at 24 bytes.
+#[derive(Debug, Clone, Copy)]
 struct TagState {
     /// Wakeup time visible to the select logic (speculative in
-    /// select-free mode until the producer is granted).
-    ready_at: Option<u64>,
+    /// select-free mode until the producer is granted); `NEVER` while
+    /// unknown or revoked. Written only through [`TagTable::set_ready`],
+    /// which wakes the consumers.
+    ready_at: u64,
     /// Time the value is actually available (set at producer grant).
-    actual_at: Option<u64>,
+    actual_at: u64,
     /// Producer is a load whose hit/miss is not yet known.
     load_unresolved: bool,
     /// This dataflow edge was poisoned by a cache miss: the producer is a
@@ -146,104 +224,218 @@ struct TagState {
     missed: bool,
 }
 
+impl Default for TagState {
+    fn default() -> TagState {
+        TagState {
+            ready_at: NEVER,
+            actual_at: NEVER,
+            load_unresolved: false,
+            missed: false,
+        }
+    }
+}
+
 /// Dense tag-state table. Tags are allocated by rename/formation from a
 /// monotonic counter and never reused, so states live in a flat vector
 /// indexed by `tag - base` instead of a hash map; pruning clears stale
 /// slots and advances `base` over the dead prefix. A tag outside the
 /// window (or with a cleared slot) is architecturally long done —
 /// consumers treat it as ready.
+///
+/// Each slot also carries a consumer mask over queue entries. Every
+/// change of a tag's visible wakeup marks its consumers dirty, which is
+/// how the queue knows whose cached wake cycle to recompute.
 #[derive(Debug, Clone, Default)]
 struct TagTable {
     /// Tag number of `slots[0]`.
     base: u64,
     slots: Vec<Option<TagState>>,
+    /// `words` mask words per slot: bit `i` is set while queue entry `i`
+    /// names the tag as a source. Kept while a slot's state is cleared
+    /// (the state may be re-created inside the window) and dropped with
+    /// the slot. A stale bit only costs one needless recompute.
+    consumers: Vec<u64>,
+    words: usize,
+    /// Entries whose cached wake cycles are stale.
+    dirty: EntrySet,
+    /// Bumped whenever an entry is marked dirty, so a scan can tell that
+    /// nothing changed since it last ran.
+    epoch: u64,
 }
 
 impl TagTable {
+    fn new(cap: usize) -> TagTable {
+        let dirty = EntrySet::new(cap);
+        TagTable {
+            words: dirty.0.len(),
+            dirty,
+            ..TagTable::default()
+        }
+    }
+
     fn idx(&self, t: Tag) -> Option<usize> {
         t.0.checked_sub(self.base).map(|d| d as usize)
     }
 
-    fn get(&self, t: Tag) -> Option<&TagState> {
-        self.idx(t)
-            .and_then(|i| self.slots.get(i))
-            .and_then(Option::as_ref)
+    /// Index of `t`'s slot, if the table has one.
+    fn live_idx(&self, t: Tag) -> Option<usize> {
+        self.idx(t).filter(|&i| i < self.slots.len())
     }
 
+    fn get(&self, t: Tag) -> Option<&TagState> {
+        self.live_idx(t).and_then(|i| self.slots[i].as_ref())
+    }
+
+    /// Mutable state for every field but `ready_at` (see
+    /// [`TagTable::set_ready`]).
     fn get_mut(&mut self, t: Tag) -> Option<&mut TagState> {
-        let i = self.idx(t)?;
-        self.slots.get_mut(i).and_then(Option::as_mut)
+        let i = self.live_idx(t)?;
+        self.slots[i].as_mut()
     }
 
     fn contains(&self, t: Tag) -> bool {
         self.get(t).is_some()
     }
 
-    /// Raw slot for `t`, growing the table as needed. `None` only for
+    /// Slot index for `t`, growing the table as needed. `None` only for
     /// tags below the pruned floor; those are unreachable in practice
     /// (re-broadcasts happen within the confirm window, pruning keeps a
     /// 4096-cycle horizon) and their consumers already see them as ready.
-    fn slot(&mut self, t: Tag) -> Option<&mut Option<TagState>> {
+    fn slot(&mut self, t: Tag) -> Option<usize> {
         let i = self.idx(t)?;
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
+            self.consumers.resize((i + 1) * self.words, 0);
         }
-        Some(&mut self.slots[i])
+        Some(i)
+    }
+
+    /// The wakeup cycle select logic sees for a state: absent tags are
+    /// long done, unknown or revoked broadcasts never arrive.
+    fn visible(s: Option<&TagState>) -> u64 {
+        s.map_or(0, |s| s.ready_at)
+    }
+
+    fn visible_at(&self, t: Tag) -> u64 {
+        Self::visible(self.get(t))
+    }
+
+    /// Replace slot `i`'s state, waking its consumers if that changes
+    /// the visible wakeup.
+    fn put(&mut self, i: usize, s: Option<TagState>) {
+        let before = Self::visible(self.slots[i].as_ref());
+        self.slots[i] = s;
+        if Self::visible(self.slots[i].as_ref()) != before {
+            self.wake_consumers(i);
+        }
     }
 
     fn insert(&mut self, t: Tag, s: TagState) {
-        if let Some(slot) = self.slot(t) {
-            *slot = Some(s);
+        if let Some(i) = self.slot(t) {
+            self.put(i, Some(s));
         }
     }
 
-    /// The state for `t`, created default if absent (the old
-    /// `entry(t).or_default()`).
+    /// The state for `t`, created default if absent.
     fn ensure(&mut self, t: Tag) -> Option<&mut TagState> {
-        let slot = self.slot(t)?;
-        Some(slot.get_or_insert_with(TagState::default))
+        let i = self.slot(t)?;
+        if self.slots[i].is_none() {
+            self.put(i, Some(TagState::default()));
+        }
+        self.slots[i].as_mut()
     }
 
     fn remove(&mut self, t: Tag) {
-        if let Some(i) = self.idx(t) {
-            if let Some(slot) = self.slots.get_mut(i) {
-                *slot = None;
+        if let Some(i) = self.live_idx(t) {
+            self.put(i, None);
+        }
+    }
+
+    /// The one writer of `ready_at` (grant and speculative broadcasts,
+    /// squash-dep revokes, scoreboard un-broadcasts, load-miss
+    /// re-broadcasts and replay revokes): a change marks every consumer
+    /// dirty. A no-op for tags without state.
+    fn set_ready(&mut self, t: Tag, ready_at: u64) {
+        let Some(i) = self.live_idx(t) else {
+            return;
+        };
+        if let Some(s) = self.slots[i].as_mut() {
+            if s.ready_at != ready_at {
+                s.ready_at = ready_at;
+                self.wake_consumers(i);
             }
+        }
+    }
+
+    fn wake_consumers(&mut self, i: usize) {
+        let mask = &self.consumers[i * self.words..(i + 1) * self.words];
+        let mut any = 0;
+        for (d, &c) in self.dirty.0.iter_mut().zip(mask) {
+            *d |= c;
+            any |= c;
+        }
+        if any != 0 {
+            self.epoch += 1;
+        }
+    }
+
+    /// Mark entry `e`'s cached wake cycle stale.
+    fn mark(&mut self, e: usize) {
+        self.dirty.insert(e);
+        self.epoch += 1;
+    }
+
+    fn add_consumer(&mut self, t: Tag, e: usize) {
+        if let Some(i) = self.live_idx(t) {
+            self.consumers[i * self.words + e / 64] |= 1 << (e % 64);
+        }
+    }
+
+    fn drop_consumer(&mut self, t: Tag, e: usize) {
+        if let Some(i) = self.live_idx(t) {
+            self.consumers[i * self.words + e / 64] &= !(1 << (e % 64));
+        }
+    }
+
+    /// Mask word `w` of `t`'s consumers. Below the floor the mask is gone,
+    /// so every entry may name the tag; beyond the table no entry can.
+    fn consumer_word(&self, t: Tag, w: usize) -> u64 {
+        match self.idx(t) {
+            None => !0,
+            Some(i) if i < self.slots.len() => self.consumers[i * self.words + w],
+            Some(_) => 0,
         }
     }
 
     /// Wakeup visible to select logic; absent tags are long done.
     fn ready(&self, t: Tag, now: u64) -> bool {
-        match self.get(t) {
-            None => true,
-            Some(s) => s.ready_at.is_some_and(|r| r <= now),
-        }
+        self.visible_at(t) <= now
     }
 
     /// Value actually available (grant-time verification).
     fn actually_ready(&self, t: Tag, now: u64) -> bool {
         match self.get(t) {
             None => true,
-            Some(s) => s.actual_at.is_some_and(|r| r <= now),
+            Some(s) => s.actual_at <= now,
         }
     }
 
     /// Clear states whose wakeup is older than `horizon`, then advance
     /// the floor over the cleared prefix so the vector stays bounded.
     fn prune(&mut self, now: u64, horizon: u64) {
-        for slot in &mut self.slots {
-            let keep = slot.as_ref().is_some_and(|s| {
-                s.load_unresolved
-                    || s.ready_at.is_none()
-                    || s.ready_at.is_some_and(|r| r + horizon >= now)
-            });
+        for i in 0..self.slots.len() {
+            // Unknown wakeups (`NEVER`) saturate and are kept.
+            let keep = self.slots[i]
+                .as_ref()
+                .is_none_or(|s| s.load_unresolved || s.ready_at.saturating_add(horizon) >= now);
             if !keep {
-                *slot = None;
+                self.put(i, None);
             }
         }
         let dead = self.slots.iter().take_while(|s| s.is_none()).count();
         if dead > 0 {
             self.slots.drain(..dead);
+            self.consumers.drain(..dead * self.words);
             self.base += dead as u64;
         }
     }
@@ -344,9 +536,28 @@ struct SlotAccounting {
 #[derive(Debug, Clone)]
 pub struct IssueQueue {
     config: SchedConfig,
-    entries: Vec<Option<Entry>>,
+    entries: Vec<Entry>,
     free: Vec<usize>,
     tags: TagTable,
+    /// Per entry: earliest cycle every source is visible (`NEVER` while
+    /// any source's wakeup is unknown). Valid unless the entry is dirty.
+    src_ready_at: Vec<u64>,
+    /// Per entry: earliest cycle it may request selection,
+    /// `max(hold_until, src_ready_at)`. Valid unless the entry is dirty.
+    wake_at: Vec<u64>,
+    /// Per issued entry: the cycle its execution is known good and the
+    /// slot is released.
+    confirm_at: Vec<u64>,
+    /// Entries that may request selection: waiting, no pending tail.
+    waiting: EntrySet,
+    /// Entries whose select-free speculative wakeup went out.
+    spec_sent: EntrySet,
+    /// Issued entries awaiting confirmation.
+    issued: EntrySet,
+    /// No issued entry confirms before this cycle (a lower bound).
+    next_release: u64,
+    request_gate: ScanGate,
+    spec_gate: ScanGate,
     now: u64,
     next_gen: u64,
     /// Issue slots and FUs consumed this cycle by MOP tails issued last
@@ -358,6 +569,9 @@ pub struct IssueQueue {
     req_buf: Vec<(UopId, usize)>,
     /// Reusable replay work list.
     work_buf: Vec<Tag>,
+    /// Uop buffers of the caller's previous grants, refilled in place so
+    /// a grant does not allocate.
+    spare_uops: Vec<Vec<SchedUop>>,
     /// Event tracing enabled. When `false` (the default) no event value is
     /// ever constructed — every emission site is behind this one branch.
     trace: bool,
@@ -379,9 +593,18 @@ impl IssueQueue {
     pub fn new(config: SchedConfig) -> IssueQueue {
         let cap = config.queue_entries.unwrap_or(512);
         IssueQueue {
-            entries: (0..cap).map(|_| None).collect(),
+            entries: (0..cap).map(|_| Entry::vacant()).collect(),
             free: (0..cap).rev().collect(),
-            tags: TagTable::default(),
+            tags: TagTable::new(cap),
+            src_ready_at: vec![0; cap],
+            wake_at: vec![0; cap],
+            confirm_at: vec![0; cap],
+            waiting: EntrySet::new(cap),
+            spec_sent: EntrySet::new(cap),
+            issued: EntrySet::new(cap),
+            next_release: NEVER,
+            request_gate: ScanGate::default(),
+            spec_gate: ScanGate::default(),
             now: 0,
             next_gen: 1,
             slots_blocked: 0,
@@ -389,6 +612,7 @@ impl IssueQueue {
             stats: QueueStats::default(),
             req_buf: Vec::new(),
             work_buf: Vec::new(),
+            spare_uops: Vec::new(),
             trace: false,
             trace_buf: Vec::new(),
             metrics: None,
@@ -481,21 +705,24 @@ impl IssueQueue {
         self.free.pop().ok_or(InsertError::Full)
     }
 
-    fn entry_mut(&mut self, id: EntryId) -> Option<&mut Entry> {
-        self.entries
-            .get_mut(id.index)?
-            .as_mut()
-            .filter(|e| e.gen == id.gen)
+    /// The occupied entry `id` names, if it still exists.
+    fn entry_mut(entries: &mut [Entry], id: EntryId) -> Option<&mut Entry> {
+        entries
+            .get_mut(id.index)
+            .filter(|e| e.state != EntryState::Free && e.gen == id.gen)
     }
 
-    /// Filter a uop's source tags against current tag state: tags nobody
-    /// remembers are architecturally long done.
-    fn live_srcs(&self, uop: &SchedUop) -> Vec<Tag> {
-        uop.srcs
-            .iter()
-            .copied()
-            .filter(|&t| self.tags.contains(t))
-            .collect()
+    /// Empty slot `idx`, keeping its storage, and put it on the free list.
+    fn vacate(&mut self, idx: usize) {
+        let e = &mut self.entries[idx];
+        e.state = EntryState::Free;
+        for &t in &e.srcs {
+            self.tags.drop_consumer(t, idx);
+        }
+        self.waiting.remove(idx);
+        self.spec_sent.remove(idx);
+        self.issued.remove(idx);
+        self.free.push(idx);
     }
 
     /// Insert a singleton entry.
@@ -526,7 +753,14 @@ impl IssueQueue {
         if let Some(dst) = uop.dst {
             self.tags.insert(dst, TagState::default());
         }
-        let srcs = self.live_srcs(&uop);
+        // Tags nobody remembers are architecturally long done.
+        let e = &mut self.entries[idx];
+        e.srcs.clear();
+        e.srcs
+            .extend(uop.srcs.iter().copied().filter(|&t| self.tags.contains(t)));
+        for &t in &e.srcs {
+            self.tags.add_consumer(t, idx);
+        }
         if self.trace {
             self.trace_buf.push(TraceEvent::Rename {
                 cycle: self.now,
@@ -534,7 +768,7 @@ impl IssueQueue {
                 sidx: uop.sidx,
                 entry: EntryId { index: idx, gen },
                 dst: uop.dst,
-                srcs: srcs.clone(),
+                srcs: e.srcs.clone(),
                 fused: false,
                 pending,
                 is_load: uop.is_load,
@@ -542,21 +776,21 @@ impl IssueQueue {
                 wrong_path: uop.wrong_path,
             });
         }
-        self.entries[idx] = Some(Entry {
-            gen,
-            srcs,
-            dst: uop.dst,
-            fu: uop.fu,
-            age: uop.id,
-            pending_tail: pending,
-            state: EntryState::Waiting,
-            collided: false,
-            hold_until: 0,
-            confirm_at: None,
-            spec_broadcast: false,
-            woken_at: None,
-            uops: vec![uop],
-        });
+        e.gen = gen;
+        e.state = EntryState::Waiting;
+        e.dst = uop.dst;
+        e.fu = uop.fu;
+        e.age = uop.id;
+        e.pending_tail = pending;
+        e.collided = false;
+        e.hold_until = 0;
+        e.woken_at = None;
+        e.uops.clear();
+        e.uops.push(uop);
+        if !pending {
+            self.waiting.insert(idx);
+        }
+        self.tags.mark(idx);
         Ok(EntryId { index: idx, gen })
     }
 
@@ -571,8 +805,7 @@ impl IssueQueue {
     /// exceeded.
     pub fn fuse_tail(&mut self, head: EntryId, tail: SchedUop) -> Result<(), InsertError> {
         let max = self.config.mop.max_mop_size;
-        let live = self.live_srcs(&tail);
-        let Some(e) = self.entry_mut(head) else {
+        let Some(e) = Self::entry_mut(&mut self.entries, head) else {
             return Err(InsertError::BadEntry);
         };
         if e.state != EntryState::Waiting {
@@ -582,21 +815,18 @@ impl IssueQueue {
             return Err(InsertError::MopTooLarge);
         }
         let mop_tag = e.dst;
-        for t in live {
-            if Some(t) == mop_tag {
-                continue; // internal head->tail edge
+        for &t in &tail.srcs {
+            // Skip the internal head->tail edge and long-done tags.
+            if Some(t) == mop_tag || !self.tags.contains(t) || e.srcs.contains(&t) {
+                continue;
             }
-            if !e.srcs.contains(&t) {
-                e.srcs.push(t);
-            }
+            e.srcs.push(t);
+            self.tags.add_consumer(t, head.index);
         }
         // Head and tail share one MOP ID; formation's translation table
         // aliases the tail's destination to it, so no new tag is made.
         e.pending_tail = false;
-        e.uops.push(tail);
         if self.trace {
-            let e = self.entries[head.index].as_ref().expect("fused above");
-            let tail = e.uops.last().expect("just pushed");
             self.trace_buf.push(TraceEvent::Rename {
                 cycle: self.now,
                 id: tail.id,
@@ -611,6 +841,9 @@ impl IssueQueue {
                 wrong_path: tail.wrong_path,
             });
         }
+        e.uops.push(tail);
+        self.waiting.insert(head.index);
+        self.tags.mark(head.index);
         Ok(())
     }
 
@@ -618,9 +851,10 @@ impl IssueQueue {
     /// (used for >2-instruction MOP chains, the paper's future-work
     /// configurations).
     pub fn mark_pending(&mut self, id: EntryId) {
-        if let Some(e) = self.entry_mut(id) {
+        if let Some(e) = Self::entry_mut(&mut self.entries, id) {
             if e.state == EntryState::Waiting {
                 e.pending_tail = true;
+                self.waiting.remove(id.index);
             }
         }
     }
@@ -628,20 +862,21 @@ impl IssueQueue {
     /// Give up waiting for a tail: the head becomes an ordinary singleton
     /// (fetch never delivered the tail in the consecutive insert group).
     pub fn cancel_pending(&mut self, head: EntryId) {
-        if let Some(e) = self.entry_mut(head) {
+        if let Some(e) = Self::entry_mut(&mut self.entries, head) {
             if e.pending_tail {
                 e.pending_tail = false;
                 self.stats.cancelled_pendings += 1;
+                self.waiting.insert(head.index);
+                self.tags.mark(head.index);
             }
         }
     }
 
     /// `true` if the entry still exists and is waiting for its tail.
     pub fn is_pending(&self, id: EntryId) -> bool {
-        self.entries
-            .get(id.index)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|e| e.gen == id.gen && e.pending_tail)
+        self.entries.get(id.index).is_some_and(|e| {
+            e.state != EntryState::Free && e.gen == id.gen && e.pending_tail
+        })
     }
 
     /// Advance one cycle. `now` must increase by exactly one between
@@ -656,9 +891,11 @@ impl IssueQueue {
     }
 
     /// Advance one cycle, clearing `out` and appending this cycle's issue
-    /// decisions to it.
+    /// decisions to it. The uop buffers of the decisions `out` held are
+    /// reused, so a caller passing the same buffer every cycle makes the
+    /// grant path allocation-free.
     pub fn cycle_into(&mut self, now: u64, out: &mut Vec<Issued>) {
-        out.clear();
+        self.spare_uops.extend(out.drain(..).map(|i| i.uops));
         debug_assert!(
             self.stats.cycles == 0 || now == self.now + 1,
             "cycles must be consecutive"
@@ -667,15 +904,7 @@ impl IssueQueue {
         self.stats.cycles += 1;
 
         // Release entries whose execution is known good.
-        for idx in 0..self.entries.len() {
-            let release = self.entries[idx].as_ref().is_some_and(|e| {
-                e.state == EntryState::Issued && e.confirm_at.is_some_and(|c| c <= now)
-            });
-            if release {
-                self.entries[idx] = None;
-                self.free.push(idx);
-            }
-        }
+        self.release(now);
         let occ = self.occupancy() as u64;
         self.stats.occupancy_integral += occ;
         if let Some(m) = self.metrics.as_deref_mut() {
@@ -687,61 +916,16 @@ impl IssueQueue {
         // Speculative wakeup phase (select-free and speculative-wakeup
         // schedulers): broadcast at wake time, before selection confirms.
         if select_free {
-            for idx in 0..self.entries.len() {
-                let Some(e) = self.entries[idx].as_ref() else {
-                    continue;
-                };
-                if e.state != EntryState::Waiting || e.pending_tail || e.spec_broadcast {
-                    continue;
-                }
-                if !e.srcs.iter().all(|&t| self.tags.ready(t, now)) {
-                    continue;
-                }
-                let lat = u64::from(e.latency(&self.config).max(1));
-                let dst = e.dst;
-                let is_load = e.uops[0].is_load;
-                if let Some(e) = self.entries[idx].as_mut() {
-                    e.spec_broadcast = true;
-                }
-                if let Some(d) = dst {
-                    if let Some(s) = self.tags.ensure(d) {
-                        s.ready_at = Some(now + lat);
-                        s.load_unresolved = is_load;
-                        if self.trace {
-                            self.trace_buf.push(TraceEvent::Wakeup {
-                                cycle: now,
-                                tag: d,
-                                ready_at: now + lat,
-                                speculative: true,
-                            });
-                        }
-                    }
-                }
-            }
+            self.spec_wake(now);
         }
 
         // Request phase (the scratch vector is queue-owned and reused).
         let mut requesters = std::mem::take(&mut self.req_buf);
         requesters.clear();
-        for idx in 0..self.entries.len() {
-            let Some(e) = self.entries[idx].as_ref() else {
-                continue;
-            };
-            if e.state != EntryState::Waiting || e.pending_tail || e.hold_until > now {
-                continue;
-            }
-            if e.srcs.iter().all(|&t| self.tags.ready(t, now)) {
-                requesters.push((e.age, idx));
-                if self.metrics.is_some() {
-                    if let Some(e) = self.entries[idx].as_mut() {
-                        if e.woken_at.is_none() {
-                            e.woken_at = Some(now);
-                        }
-                    }
-                }
-            }
-        }
+        self.collect_requesters(now, &mut requesters);
         requesters.sort_unstable();
+        #[cfg(debug_assertions)]
+        self.check_requesters(now, &requesters);
 
         // Grant phase: oldest first, within issue width and FU pools,
         // minus the slots/FUs blocked by MOP tails sequencing this cycle.
@@ -756,7 +940,7 @@ impl IssueQueue {
         let mut fu_next = [0usize; 5];
 
         for &(_, idx) in &requesters {
-            let fu = self.entries[idx].as_ref().expect("requester exists").fu;
+            let fu = self.entries[idx].fu;
             if width == 0 || fu_avail[fu.index()] == 0 {
                 self.note_collision(idx);
                 continue;
@@ -766,7 +950,7 @@ impl IssueQueue {
             // the parents really issued; a failed verification wastes the
             // issue slot and the instruction simply retries next cycle.
             if self.config.kind == SchedulerKind::SpeculativeWakeup {
-                let e = self.entries[idx].as_ref().expect("requester exists");
+                let e = &self.entries[idx];
                 let stale = e.srcs.iter().any(|&t| !self.tags.actually_ready(t, now));
                 if stale {
                     width -= 1;
@@ -777,7 +961,7 @@ impl IssueQueue {
 
             // Scoreboard pileup check: did every producer actually deliver?
             if self.config.kind == SchedulerKind::SelectFreeScoreboard {
-                let e = self.entries[idx].as_ref().expect("requester exists");
+                let e = &self.entries[idx];
                 let stale = e.srcs.iter().any(|&t| !self.tags.actually_ready(t, now));
                 if stale {
                     // The pileup victim consumed an issue slot and an FU,
@@ -786,19 +970,16 @@ impl IssueQueue {
                     fu_avail[fu.index()] -= 1;
                     self.stats.pileup_replays += 1;
                     for &t in &e.srcs {
-                        // Un-broadcast every stale wakeup for everyone
-                        // (entries and tags are disjoint borrows; no
-                        // source-list clone needed).
-                        if let Some(s) = self.tags.get_mut(t) {
-                            if s.actual_at.is_none_or(|r| r > now) {
-                                s.ready_at = s.actual_at;
-                            }
+                        // Un-broadcast every stale wakeup for everyone.
+                        let Some(actual) = self.tags.get(t).map(|s| s.actual_at) else {
+                            continue;
+                        };
+                        if actual > now {
+                            self.tags.set_ready(t, actual);
                         }
                     }
-                    let penalty = u64::from(self.config.replay_penalty);
-                    if let Some(e) = self.entries[idx].as_mut() {
-                        e.hold_until = now + penalty;
-                    }
+                    self.entries[idx].hold_until = now + u64::from(self.config.replay_penalty);
+                    self.tags.mark(idx);
                     continue;
                 }
             }
@@ -807,7 +988,7 @@ impl IssueQueue {
             fu_avail[fu.index()] -= 1;
 
             // Broadcast the destination tag.
-            let e = self.entries[idx].as_ref().expect("requester exists");
+            let e = &self.entries[idx];
             let lat = u64::from(e.latency(&self.config));
             if e.is_mop() {
                 slots_next += 1;
@@ -819,69 +1000,69 @@ impl IssueQueue {
                 let floor = u64::from(self.config.kind.wakeup_floor());
                 if let Some(s) = self.tags.ensure(d) {
                     let prev_ready = s.ready_at;
-                    s.actual_at = Some(now + lat.max(1));
+                    s.actual_at = now + lat.max(1);
                     s.load_unresolved = is_load;
-                    if select_free {
+                    let ready = if select_free {
                         match self.config.kind {
-                            SchedulerKind::SelectFreeSquashDep => {
-                                // Dependents were squashed when we collided;
-                                // re-broadcast now with the re-wake penalty.
-                                if collided {
-                                    s.ready_at = Some(now + lat.max(1) + 1);
-                                } else if s.ready_at.is_none() {
-                                    s.ready_at = Some(now + lat.max(1));
-                                }
-                            }
-                            SchedulerKind::SelectFreeScoreboard
+                            // Dependents were squashed when we collided;
+                            // re-broadcast now with the re-wake penalty.
+                            SchedulerKind::SelectFreeSquashDep if collided => now + lat.max(1) + 1,
+                            // Keep the (possibly stale-early) speculative
+                            // wakeup; grant-time verification absorbs the
+                            // damage.
+                            SchedulerKind::SelectFreeSquashDep
+                            | SchedulerKind::SelectFreeScoreboard
                             | SchedulerKind::SpeculativeWakeup => {
-                                // Keep the (possibly stale-early) speculative
-                                // wakeup; grant-time verification absorbs the
-                                // damage.
-                                if s.ready_at.is_none() {
-                                    s.ready_at = Some(now + lat.max(1));
+                                if prev_ready == NEVER {
+                                    now + lat.max(1)
+                                } else {
+                                    prev_ready
                                 }
                             }
                             _ => unreachable!("select_free implies a wakeup-speculating kind"),
                         }
                     } else {
-                        s.ready_at = Some(now + lat.max(floor));
-                    }
-                    if self.trace && s.ready_at != prev_ready {
+                        now + lat.max(floor)
+                    };
+                    self.tags.set_ready(d, ready);
+                    if self.trace && ready != prev_ready {
                         self.trace_buf.push(TraceEvent::Wakeup {
                             cycle: now,
                             tag: d,
-                            ready_at: s.ready_at.expect("broadcast sets a ready time"),
+                            ready_at: ready,
                             speculative: false,
                         });
                     }
                 }
             }
 
-            let e = self.entries[idx].as_mut().expect("entry exists");
+            let e = &mut self.entries[idx];
             e.state = EntryState::Issued;
-            e.confirm_at =
-                Some(now + u64::from(self.config.confirm_window) + (e.uops.len() as u64 - 1));
+            let confirm = now + u64::from(self.config.confirm_window) + (e.uops.len() as u64 - 1);
+            self.confirm_at[idx] = confirm;
+            self.next_release = self.next_release.min(confirm);
+            self.waiting.remove(idx);
+            self.issued.insert(idx);
             if let Some(m) = self.metrics.as_deref_mut() {
                 m.wakeup_select_delay.record(now - e.woken_at.take().unwrap_or(now));
             }
             self.stats.issued_entries += 1;
             self.stats.issued_uops += e.uops.len() as u64;
+            let mut uops = self.spare_uops.pop().unwrap_or_default();
+            uops.clone_from(&e.uops);
+            let entry = EntryId {
+                index: idx,
+                gen: e.gen,
+            };
             out.push(Issued {
-                entry: EntryId {
-                    index: idx,
-                    gen: e.gen,
-                },
-                uops: e.uops.clone(),
+                entry,
+                uops,
                 issue_cycle: now,
             });
             if self.trace {
-                let e = self.entries[idx].as_ref().expect("entry exists");
                 self.trace_buf.push(TraceEvent::Select {
                     cycle: now,
-                    entry: EntryId {
-                        index: idx,
-                        gen: e.gen,
-                    },
+                    entry,
                     uops: e.uops.iter().map(|u| u.id).collect(),
                     srcs: e.srcs.clone(),
                     dst: e.dst,
@@ -891,6 +1072,10 @@ impl IssueQueue {
             }
         }
 
+        // A requester left waiting asks again next cycle.
+        if out.len() < requesters.len() {
+            self.request_gate.next = self.request_gate.next.min(now + 1);
+        }
         self.req_buf = requesters;
         self.slots_blocked = slots_next;
         self.fu_blocked = fu_next;
@@ -899,6 +1084,174 @@ impl IssueQueue {
             let wasted = self.stats.spec_wakeup_cancels + self.stats.pileup_replays - waste_before;
             self.account_cycle(now, blocked_slots, wasted, out.len());
         }
+    }
+
+    /// Free every issued entry whose confirmation time has come, in slot
+    /// order. Skipped outright until the earliest outstanding confirmation.
+    fn release(&mut self, now: u64) {
+        #[cfg(debug_assertions)]
+        let (expected, freed_before) = {
+            let due: Vec<usize> = (0..self.entries.len())
+                .filter(|&i| {
+                    self.entries[i].state == EntryState::Issued && self.confirm_at[i] <= now
+                })
+                .collect();
+            (due, self.free.len())
+        };
+        if now >= self.next_release {
+            let mut next = NEVER;
+            for w in 0..self.issued.0.len() {
+                for idx in slots_in(self.issued.0[w], w) {
+                    if self.confirm_at[idx] <= now {
+                        self.vacate(idx);
+                    } else {
+                        next = next.min(self.confirm_at[idx]);
+                    }
+                }
+            }
+            self.next_release = next;
+        }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            &self.free[freed_before..],
+            &expected[..],
+            "incremental release set diverged from a full scan at cycle {now}"
+        );
+    }
+
+    /// Recompute the cached wake cycles of every dirty entry.
+    fn refresh_dirty(&mut self) {
+        for w in 0..self.tags.dirty.0.len() {
+            let word = std::mem::take(&mut self.tags.dirty.0[w]);
+            for idx in slots_in(word, w) {
+                self.refresh(idx);
+            }
+        }
+    }
+
+    fn refresh(&mut self, idx: usize) {
+        let e = &self.entries[idx];
+        if e.state == EntryState::Free {
+            return;
+        }
+        let src = e.srcs.iter().map(|&t| self.tags.visible_at(t)).max().unwrap_or(0);
+        self.src_ready_at[idx] = src;
+        self.wake_at[idx] = src.max(e.hold_until);
+    }
+
+    /// Select-free wakeup: every waiting entry whose sources just became
+    /// visible broadcasts its own tag, in slot order. A broadcast in this
+    /// phase can change what a later entry sees, so each candidate is
+    /// refreshed right before it is read.
+    fn spec_wake(&mut self, now: u64) {
+        if !self.spec_gate.due(self.tags.epoch, now) {
+            #[cfg(debug_assertions)]
+            for idx in 0..self.entries.len() {
+                assert!(
+                    !(self.waiting.contains(idx)
+                        && !self.spec_sent.contains(idx)
+                        && self.srcs_visible(idx, now)),
+                    "skipped a speculative wakeup of entry {idx} at cycle {now}"
+                );
+            }
+            return;
+        }
+        self.refresh_dirty();
+        self.spec_gate.epoch = self.tags.epoch;
+        let mut next = NEVER;
+        for w in 0..self.waiting.0.len() {
+            let candidates = self.waiting.0[w] & !self.spec_sent.0[w];
+            for idx in slots_in(candidates, w) {
+                if self.tags.dirty.contains(idx) {
+                    self.tags.dirty.remove(idx);
+                    self.refresh(idx);
+                }
+                let at = self.src_ready_at[idx];
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    at <= now,
+                    self.srcs_visible(idx, now),
+                    "stale wake cycle for entry {idx} at cycle {now}"
+                );
+                if at > now {
+                    next = next.min(at);
+                    continue;
+                }
+                let e = &self.entries[idx];
+                let lat = u64::from(e.latency(&self.config).max(1));
+                let dst = e.dst;
+                let is_load = e.uops[0].is_load;
+                self.spec_sent.insert(idx);
+                if let Some(d) = dst {
+                    if let Some(s) = self.tags.ensure(d) {
+                        s.load_unresolved = is_load;
+                        self.tags.set_ready(d, now + lat);
+                        if self.trace {
+                            self.trace_buf.push(TraceEvent::Wakeup {
+                                cycle: now,
+                                tag: d,
+                                ready_at: now + lat,
+                                speculative: true,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        self.spec_gate.next = next;
+    }
+
+    /// Append `(age, slot)` for every entry whose cached wake cycle has
+    /// come. Skipped outright when no entry changed and none is due.
+    fn collect_requesters(&mut self, now: u64, out: &mut Vec<(UopId, usize)>) {
+        if !self.request_gate.due(self.tags.epoch, now) {
+            return;
+        }
+        self.refresh_dirty();
+        self.request_gate.epoch = self.tags.epoch;
+        let mut next = NEVER;
+        for w in 0..self.waiting.0.len() {
+            for idx in slots_in(self.waiting.0[w], w) {
+                let at = self.wake_at[idx];
+                if at > now {
+                    next = next.min(at);
+                    continue;
+                }
+                let e = &mut self.entries[idx];
+                out.push((e.age, idx));
+                if self.metrics.is_some() && e.woken_at.is_none() {
+                    e.woken_at = Some(now);
+                }
+            }
+        }
+        self.request_gate.next = next;
+    }
+
+    /// Every source of entry `idx` is visible at `now`, read straight from
+    /// the tag table (the reference the cached wake cycles must match).
+    #[cfg(debug_assertions)]
+    fn srcs_visible(&self, idx: usize, now: u64) -> bool {
+        self.entries[idx].srcs.iter().all(|&t| self.tags.ready(t, now))
+    }
+
+    /// The incremental request set must equal a brute-force scan.
+    #[cfg(debug_assertions)]
+    fn check_requesters(&self, now: u64, got: &[(UopId, usize)]) {
+        let mut want: Vec<(UopId, usize)> = (0..self.entries.len())
+            .filter(|&i| {
+                let e = &self.entries[i];
+                e.state == EntryState::Waiting
+                    && !e.pending_tail
+                    && e.hold_until <= now
+                    && self.srcs_visible(i, now)
+            })
+            .map(|i| (self.entries[i].age, i))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(
+            got, want,
+            "incremental requester set diverged from a full scan at cycle {now}"
+        );
     }
 
     /// Charge this cycle's `issue_width` slots to causes: grants are
@@ -922,7 +1275,7 @@ impl IssueQueue {
         acc.empty = 0;
         if idle > 0 {
             acc.cause_buf.clear();
-            for e in self.entries.iter().flatten() {
+            for e in &self.entries {
                 if e.state != EntryState::Waiting {
                     continue;
                 }
@@ -959,7 +1312,7 @@ impl IssueQueue {
             all_visible = false;
             match self.tags.get(t) {
                 Some(s) if s.missed => return SlotCause::LoadMiss,
-                Some(s) if s.actual_at.is_none_or(|r| r > now) => loop_only = false,
+                Some(s) if s.actual_at > now => loop_only = false,
                 // Remaining: actually ready but invisible (loop bubble).
                 // Absent tags always read as ready; unreachable here.
                 Some(_) | None => {}
@@ -985,17 +1338,12 @@ impl IssueQueue {
             return;
         }
         self.stats.collisions += 1;
-        let (dst, first) = {
-            let e = self.entries[idx].as_mut().expect("collision entry exists");
-            let first = !e.collided;
-            e.collided = true;
-            (e.dst, first)
-        };
+        let e = &mut self.entries[idx];
+        let first = !e.collided;
+        e.collided = true;
         if self.config.kind == SchedulerKind::SelectFreeSquashDep && first {
-            if let Some(d) = dst {
-                if let Some(s) = self.tags.get_mut(d) {
-                    s.ready_at = None; // squash dependents' wakeups
-                }
+            if let Some(d) = e.dst {
+                self.tags.set_ready(d, NEVER); // squash dependents' wakeups
             }
         }
     }
@@ -1037,9 +1385,9 @@ impl IssueQueue {
             return;
         }
         let ready = data_ready_at + u64::from(self.config.replay_penalty);
-        s.ready_at = Some(ready);
-        s.actual_at = Some(ready);
+        s.actual_at = ready;
         s.missed = true;
+        self.tags.set_ready(tag, ready);
         if self.trace {
             self.trace_buf.push(TraceEvent::Wakeup {
                 cycle: self.now,
@@ -1060,41 +1408,42 @@ impl IssueQueue {
         work.clear();
         work.push(tag);
         while let Some(t) = work.pop() {
-            for idx in 0..self.entries.len() {
-                let replay = self.entries[idx]
-                    .as_ref()
-                    .is_some_and(|e| e.state == EntryState::Issued && e.srcs.contains(&t));
-                if !replay {
-                    continue;
-                }
-                let e = self.entries[idx].as_mut().expect("checked above");
-                e.state = EntryState::Waiting;
-                e.confirm_at = None;
-                e.spec_broadcast = false;
-                e.collided = false;
-                e.woken_at = None;
-                self.stats.load_replay_uops += e.uops.len() as u64;
-                replayed.extend(e.uops.iter().map(|u| u.id));
-                if let Some(d) = e.dst {
-                    if let Some(s) = self.tags.get_mut(d) {
-                        s.ready_at = None;
-                        s.actual_at = None;
-                        s.missed = true;
+            for w in 0..self.issued.0.len() {
+                let candidates = self.issued.0[w] & self.tags.consumer_word(t, w);
+                for idx in slots_in(candidates, w) {
+                    let e = &mut self.entries[idx];
+                    if !e.srcs.contains(&t) {
+                        continue; // stale consumer bit
                     }
-                    work.push(d);
-                }
-                if self.trace {
-                    let e = self.entries[idx].as_ref().expect("checked above");
-                    self.trace_buf.push(TraceEvent::Replay {
-                        cycle: self.now,
-                        entry: EntryId {
-                            index: idx,
-                            gen: e.gen,
-                        },
-                        uops: e.uops.iter().map(|u| u.id).collect(),
-                        tag: t,
-                        reissue_at,
-                    });
+                    e.state = EntryState::Waiting;
+                    e.collided = false;
+                    e.woken_at = None;
+                    self.issued.remove(idx);
+                    self.waiting.insert(idx);
+                    self.spec_sent.remove(idx);
+                    self.tags.mark(idx);
+                    self.stats.load_replay_uops += e.uops.len() as u64;
+                    replayed.extend(e.uops.iter().map(|u| u.id));
+                    if let Some(d) = e.dst {
+                        if let Some(s) = self.tags.get_mut(d) {
+                            s.actual_at = NEVER;
+                            s.missed = true;
+                        }
+                        self.tags.set_ready(d, NEVER);
+                        work.push(d);
+                    }
+                    if self.trace {
+                        self.trace_buf.push(TraceEvent::Replay {
+                            cycle: self.now,
+                            entry: EntryId {
+                                index: idx,
+                                gen: e.gen,
+                            },
+                            uops: e.uops.iter().map(|u| u.id).collect(),
+                            tag: t,
+                            reissue_at,
+                        });
+                    }
                 }
             }
         }
@@ -1109,28 +1458,37 @@ impl IssueQueue {
     /// arrive.
     pub fn squash_from(&mut self, first_squashed: UopId) {
         for idx in 0..self.entries.len() {
-            let Some(e) = self.entries[idx].as_mut() else {
+            let e = &mut self.entries[idx];
+            if e.state == EntryState::Free {
                 continue;
-            };
+            }
             if e.age >= first_squashed {
                 // Whole entry is wrong-path.
                 if let Some(d) = e.dst {
                     self.tags.remove(d);
                 }
-                self.entries[idx] = None;
-                self.free.push(idx);
+                self.vacate(idx);
                 continue;
             }
             if e.uops.len() > 1 && e.uops.last().expect("non-empty").id >= first_squashed {
                 // Half-squashed MOP: drop wrong-path tail uops, restore the
                 // head's own source set, and let it schedule alone.
                 e.uops.retain(|u| u.id < first_squashed);
-                let head_srcs = e.uops[0].srcs.clone();
-                e.srcs.retain(|t| head_srcs.contains(t));
+                let Entry { uops, srcs, .. } = &mut *e;
+                let head_srcs = &uops[0].srcs;
+                for &t in srcs.iter().filter(|t| !head_srcs.contains(t)) {
+                    self.tags.drop_consumer(t, idx);
+                }
+                srcs.retain(|t| head_srcs.contains(t));
+                self.tags.mark(idx);
             }
             if e.pending_tail {
                 e.pending_tail = false;
                 self.stats.cancelled_pendings += 1;
+                if e.state == EntryState::Waiting {
+                    self.waiting.insert(idx);
+                }
+                self.tags.mark(idx);
             }
         }
     }
@@ -1140,7 +1498,7 @@ impl IssueQueue {
     /// currently revoked. Used by the simulator's last-arriving-operand
     /// filter (Section 5.4.2).
     pub fn tag_ready_time(&self, t: Tag) -> Option<u64> {
-        self.tags.get(t).and_then(|s| s.ready_at)
+        self.tags.get(t).map(|s| s.ready_at).filter(|&r| r != NEVER)
     }
 
     /// Drop tag bookkeeping whose wakeup is older than `horizon` cycles;
@@ -1262,11 +1620,19 @@ mod tests {
     #[test]
     fn pending_head_does_not_request() {
         let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
-        let e = q.insert_mop_head(alu(0, Some(100), &[])).unwrap();
-        assert!(q.cycle(0).is_empty(), "pending entry must not issue");
+        q.insert(alu(0, Some(99), &[])).unwrap();
+        let e = q.insert_mop_head(alu(1, Some(100), &[])).unwrap();
+        // Cycle 0: the producer of 99 issues (visible at 0 + 2); the
+        // source-free head is ready but pending.
+        let issued = q.cycle(0);
+        assert_eq!(issued.len(), 1, "pending entry must not issue");
+        assert_eq!(issued[0].uops[0].id, UopId(0));
         assert!(q.is_pending(e));
-        q.fuse_tail(e, alu(1, Some(100), &[100])).unwrap();
-        let issued = q.cycle(1);
+        // The tail adds source 99 after the head's readiness was known;
+        // the MOP waits for it instead of issuing at 1.
+        q.fuse_tail(e, alu(2, Some(100), &[100, 99])).unwrap();
+        assert!(q.cycle(1).is_empty(), "tail's source is not visible yet");
+        let issued = q.cycle(2);
         assert_eq!(issued.len(), 1);
         assert_eq!(issued[0].uops.len(), 2);
     }
@@ -1380,19 +1746,24 @@ mod tests {
         q.insert(load(0, 100, &[])).unwrap();
         q.insert(alu(1, Some(101), &[100])).unwrap();
         q.insert(alu(2, Some(102), &[101])).unwrap(); // grandchild
-        let mut reissues = 0;
+        let mut sched: HashMap<u64, Vec<u64>> = HashMap::new();
         for now in 0..40 {
             if now == 6 {
-                q.load_resolved(Tag(100), false, 20);
+                let replayed = q.load_resolved(Tag(100), false, 20);
+                assert_eq!(replayed, vec![UopId(1), UopId(2)], "both levels pulled back");
             }
             for i in q.cycle(now) {
-                if i.uops[0].id == UopId(2) {
-                    reissues += 1;
-                }
+                sched.entry(i.uops[0].id.0).or_default().push(i.issue_cycle);
             }
         }
-        assert_eq!(reissues, 2, "grandchild replayed too");
-        assert!(q.stats().load_replay_uops >= 2);
+        // The load issues at 0 and wakes its child at 0 + 3 (assumed
+        // hit), the grandchild follows at 4. Both are still unconfirmed
+        // (confirm window 8) when the miss is found at 6; tag 100
+        // re-broadcasts at 20 + 2, so the chain re-issues at 22 and 23.
+        assert_eq!(sched[&0], vec![0], "load itself is not replayed");
+        assert_eq!(sched[&1], vec![3, 22]);
+        assert_eq!(sched[&2], vec![4, 23], "grandchild replayed too");
+        assert_eq!(q.stats().load_replay_uops, 2);
     }
 
     #[test]
@@ -1438,10 +1809,17 @@ mod tests {
         q.force_external_tag(Tag(99));
         q.insert(alu(0, Some(100), &[99])).unwrap(); // not ready: survives
         q.insert(alu(5, Some(105), &[99])).unwrap();
+        q.insert(alu(1, None, &[105])).unwrap(); // older consumer of 105
+        assert!(q.cycle(0).is_empty() && q.cycle(1).is_empty());
         q.squash_from(UopId(3));
-        assert_eq!(q.occupancy(), 1);
+        assert_eq!(q.occupancy(), 2);
         assert!(q.tracks_tag(Tag(100)), "survivor tag kept");
         assert!(!q.tracks_tag(Tag(105)), "squashed tag removed");
+        // A tag nobody remembers is long done: the consumer of the
+        // squashed producer is ready in the very next cycle.
+        let issued = q.cycle(2);
+        assert_eq!(issued.len(), 1);
+        assert_eq!(issued[0].uops[0].id, UopId(1));
     }
 
     #[test]
@@ -1483,16 +1861,22 @@ mod tests {
         q.insert(alu(1, Some(101), &[])).unwrap(); // collides at cycle 0
         q.insert(alu(2, Some(102), &[101])).unwrap(); // dependent of victim
         let mut sched: HashMap<u64, u64> = HashMap::new();
+        let mut victim_tag = Vec::new();
         for now in 0..20 {
             for i in q.cycle(now) {
                 sched.insert(i.uops[0].id.0, i.issue_cycle);
             }
+            victim_tag.push(q.tag_ready_time(Tag(101)));
         }
+        // Cycle 0: the victim's speculative wakeup (visible at 1) is
+        // revoked when it loses select; cycle 1: its grant re-broadcasts
+        // at 1 + 1 + the one-cycle re-wake penalty.
+        assert_eq!(victim_tag[..2], [None, Some(3)]);
         assert_eq!(sched[&0], 0);
         assert_eq!(sched[&1], 1, "victim granted next cycle");
         // Base timing would be 1 + 1 = 2; the squash/re-wake costs one.
         assert_eq!(sched[&2], 3);
-        assert!(q.stats().collisions >= 1);
+        assert_eq!(q.stats().collisions, 1);
     }
 
     #[test]
@@ -1507,6 +1891,7 @@ mod tests {
         q.insert(alu(1, Some(101), &[])).unwrap();
         q.insert(alu(2, Some(102), &[])).unwrap(); // collision victim at 0
         q.insert(alu(3, Some(103), &[102])).unwrap(); // mis-woken dependent
+        q.insert(alu(4, Some(104), &[103])).unwrap(); // mis-woken grandchild
         let mut sched: HashMap<u64, Vec<u64>> = HashMap::new();
         for now in 0..20 {
             for i in q.cycle(now) {
@@ -1516,11 +1901,43 @@ mod tests {
         assert_eq!(sched[&0], vec![0]);
         assert_eq!(sched[&1], vec![0]);
         assert_eq!(sched[&2], vec![1], "victim granted next cycle");
-        assert!(q.stats().pileup_replays >= 1, "dependent piled up");
-        let dep = &sched[&3];
-        assert_eq!(dep.len(), 1);
-        // Base timing would be 1 + 1 = 2; pileup replay costs more.
-        assert!(dep[0] > 2, "pileup victim delayed by replay: {dep:?}");
+        // Cycle 1: id 3 requests on id 2's speculative wakeup (visible
+        // at 1) but id 2's value arrives at 2, so id 3 piles up: tag 102
+        // is un-broadcast to its actual time 2 and id 3 is held until
+        // 1 + 2 (replay penalty). Its own speculative wakeup (visible at
+        // 2) mis-wakes id 4, which piles up at 2: tag 103 has no value
+        // yet, so it is un-broadcast entirely and id 4 is held until 4.
+        // Id 3 issues at 3 and broadcasts 103 at 4, when id 4 issues.
+        assert_eq!(sched[&3], vec![3], "pileup victim held until 1 + 2");
+        assert_eq!(sched[&4], vec![4], "grandchild waits for the re-broadcast");
+        assert_eq!(q.stats().pileup_replays, 2, "dependent and grandchild piled up");
+    }
+
+    #[test]
+    fn speculative_wake_broadcast_precedes_the_grant() {
+        for kind in [SchedulerKind::SelectFreeScoreboard, SchedulerKind::SpeculativeWakeup] {
+            let mut c = cfg(kind);
+            c.issue_width = 1;
+            let mut q = IssueQueue::new(c);
+            q.insert(alu(0, Some(100), &[])).unwrap();
+            q.insert(alu(1, Some(101), &[])).unwrap(); // loses select at 0
+            q.insert(alu(2, Some(102), &[101])).unwrap();
+            let mut sched: HashMap<u64, u64> = HashMap::new();
+            for now in 0..10 {
+                for i in q.cycle(now) {
+                    sched.insert(i.uops[0].id.0, i.issue_cycle);
+                }
+                if now == 0 {
+                    // Id 1 broadcast at wakeup (visible at 0 + 1) although
+                    // it was not granted.
+                    assert_eq!(q.tag_ready_time(Tag(101)), Some(1), "{kind:?}");
+                }
+            }
+            // Id 2 wakes on that broadcast at 1 but loses select to the
+            // older id 1; id 1's value is real at 2, when id 2 issues.
+            assert_eq!(sched, HashMap::from([(0, 0), (1, 1), (2, 2)]), "{kind:?}");
+            assert_eq!(q.stats().pileup_replays + q.stats().spec_wakeup_cancels, 0);
+        }
     }
 
     #[test]
@@ -1609,8 +2026,8 @@ mod tests {
             t.insert(
                 Tag(n),
                 TagState {
-                    ready_at: Some(n),
-                    actual_at: Some(n),
+                    ready_at: n,
+                    actual_at: n,
                     load_unresolved: false,
                     missed: false,
                 },
@@ -1630,8 +2047,8 @@ mod tests {
             t.insert(
                 Tag(n),
                 TagState {
-                    ready_at: Some(n),
-                    actual_at: Some(n),
+                    ready_at: n,
+                    actual_at: n,
                     load_unresolved: n == 3,
                     missed: false,
                 },
@@ -1649,8 +2066,8 @@ mod tests {
         t.insert(
             Tag(0),
             TagState {
-                ready_at: Some(0),
-                actual_at: Some(0),
+                ready_at: 0,
+                actual_at: 0,
                 load_unresolved: false,
                 missed: false,
             },
@@ -1674,17 +2091,36 @@ mod tests {
     fn consumer_of_pruned_tag_issues_immediately() {
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         q.insert(alu(0, Some(100), &[])).unwrap();
+        q.insert(load(1, 101, &[])).unwrap();
+        // Issues at 0 + 3 on the assumed hit, is replayed by the miss.
+        q.insert(alu(2, None, &[100, 101])).unwrap();
+        let mut early = Vec::new();
         for now in 0..10 {
-            q.cycle(now);
+            if now == 5 {
+                q.load_resolved(Tag(101), false, 40);
+            }
+            early.extend(q.cycle(now).iter().map(|i| i.uops[0].id));
         }
         q.prune_tags(2);
         assert!(!q.tracks_tag(Tag(100)), "old resolved tag must be pruned");
+        assert!(q.tracks_tag(Tag(101)), "pending re-broadcast kept");
         assert_eq!(q.tag_ready_time(Tag(100)), None);
         // A late consumer naming the pruned tag sees it as ready.
-        q.insert(alu(1, None, &[100])).unwrap();
+        q.insert(alu(3, None, &[100])).unwrap();
         let issued = q.cycle(10);
         assert_eq!(issued.len(), 1);
-        assert_eq!(issued[0].uops[0].id, UopId(1));
+        assert_eq!(issued[0].uops[0].id, UopId(3));
+        // The replayed consumer still names the pruned tag and re-issues
+        // exactly when 101 re-broadcasts, at 40 + 2.
+        let mut reissue = None;
+        for now in 11..50 {
+            if let Some(i) = q.cycle(now).first() {
+                assert_eq!(i.uops[0].id, UopId(2));
+                reissue.get_or_insert(now);
+            }
+        }
+        assert_eq!(early, [UopId(0), UopId(1), UopId(2)]);
+        assert_eq!(reissue, Some(42));
     }
 
     #[test]

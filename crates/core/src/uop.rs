@@ -31,7 +31,7 @@ pub enum GroupRole {
 
 /// The scheduler-facing description of one micro-operation, produced by
 /// MOP formation at rename time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SchedUop {
     /// Program-order identity / age.
     pub id: UopId,
@@ -61,6 +61,23 @@ pub struct SchedUop {
     pub fetched_at: u64,
     /// Fetched while walking a mispredicted path.
     pub wrong_path: bool,
+}
+
+impl Clone for SchedUop {
+    fn clone(&self) -> SchedUop {
+        SchedUop {
+            srcs: self.srcs.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self.srcs`' allocation, so refilling a recycled uop buffer
+    /// (the issue queue's grant output) does not touch the heap.
+    fn clone_from(&mut self, source: &SchedUop) {
+        let mut srcs = std::mem::take(&mut self.srcs);
+        srcs.clone_from(&source.srcs);
+        *self = SchedUop { srcs, ..*source };
+    }
 }
 
 impl SchedUop {

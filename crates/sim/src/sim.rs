@@ -762,7 +762,7 @@ impl<T: TraceSource> Simulator<T> {
         let mut detect_group = std::mem::take(&mut self.detect_buf);
         detect_group.clear();
         self.former.begin_group();
-        for fi in &group.insts {
+        for fi in group.insts {
             let inst = *self.program.inst(fi.sidx).expect("fetched inst exists");
             if inst.class() == InstClass::Nop || inst.class() == InstClass::Halt {
                 continue; // the decoder filters no-ops without executing
@@ -810,7 +810,7 @@ impl<T: TraceSource> Simulator<T> {
                 actual_taken: fi.actual_taken,
                 actual_next: fi.actual_next,
                 ghr_cp: fi.ghr_cp,
-                ras_snap: fi.ras_snap.clone(),
+                ras_snap: fi.ras_snap,
                 table_cp,
                 load_tag: None,
             });
@@ -1148,8 +1148,6 @@ impl<T: TraceSource> Simulator<T> {
         let (id, mispredicted, actual_taken, actual_next) =
             (e.id, e.mispredicted, e.actual_taken, e.actual_next);
         let ghr_cp = e.ghr_cp;
-        let ras_snap = e.ras_snap.clone();
-        let table_cp = e.table_cp.clone();
         let class = e.class;
 
         if class == InstClass::CondBranch {
@@ -1163,6 +1161,8 @@ impl<T: TraceSource> Simulator<T> {
         }
 
         // --- Squash ---
+        let ras_snap = self.rob[idx].ras_snap.clone();
+        let table_cp = self.rob[idx].table_cp.clone();
         self.stats.squashes += 1;
         if self.tracing {
             let branch_sidx = self.rob[idx].sidx;

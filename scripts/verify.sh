@@ -17,6 +17,9 @@
 #      diff (must be sim-identical) -> dashboard, then an incremental
 #      `experiments perf --ledger` re-sweep asserting at least one
 #      cache hit
+#   9. sim identity: the release `simbench` runs each workload once
+#      (--seconds 0) and must report every job correct: pinned SimStats
+#      digests, slot conservation, the oracle and the RV differential
 # Optional extras with --full: jobs-determinism check + perf snapshot.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -129,6 +132,16 @@ MOS_LEDGER_DIR="$LEDGER_DIR" ./target/release/experiments perf --insts 2000 --jo
 grep -q '"cached": true' /tmp/verify_ledger_b2.json
 grep -q "skipping history append" /tmp/verify_ledger_p2.err
 echo "  re-sweep served from the ledger (cached: true)"
+
+echo "== sim identity (simbench pinned digests + observer checks) =="
+cargo build --quiet --offline --release --manifest-path simbench/Cargo.toml --bin simbench
+for wl in loop_bound memory_bound rv_checked; do
+    ./simbench/target/release/simbench --workload "$wl" --seed 1 --seconds 0 --trace 0 \
+        --out-dir "/tmp/verify_simbench" > "/tmp/verify_simbench_${wl}.txt"
+    grep -q '"correct": true' "/tmp/verify_simbench_${wl}.txt"
+    grep -q '"failed": 0' "/tmp/verify_simbench_${wl}.txt"
+    echo "  $wl: every job correct"
+done
 
 if [[ "${1:-}" == "--full" ]]; then
     bin=./target/release/experiments

@@ -13,7 +13,7 @@
 //!                       sf-scoreboard | spec-wakeup  (default mop-wor)
 //!   --queue N           issue-queue entries; 0 = unrestricted (default 32)
 //!   --stages N          extra MOP formation stages, 0..2 (default 1)
-//!   --insts N           committed instructions (default 100000)
+//!   --insts N           committed instructions, >= 1 (default 100000)
 //!   --seed N            workload seed (default 42)
 //!   --ideal-branch      perfect branch prediction
 //!   --ideal-memory      perfect data cache
@@ -207,6 +207,12 @@ fn parse() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
+    }
+    if a.stages > 2 {
+        return Err(format!("--stages must be in 0..2, got {}", a.stages));
+    }
+    if a.insts == 0 {
+        return Err("--insts must be at least 1".into());
     }
     Ok(a)
 }
@@ -907,7 +913,8 @@ fn main() -> ExitCode {
                 eprintln!("error: {e}\n");
             }
             eprintln!("see the module docs at the top of mossim.rs for usage");
-            return ExitCode::FAILURE;
+            // Usage errors exit 2; `--help` exits 1.
+            return if e.is_empty() { ExitCode::FAILURE } else { ExitCode::from(2) };
         }
     };
     if a.cpistack || a.rvdiff || a.history || a.diff || a.dashboard {

@@ -1,5 +1,6 @@
 //! End-to-end CLI coverage of the run ledger: `mossim --save`,
-//! `history`, `diff`, `dashboard`, and the schema of `rvdiff --json`.
+//! `history`, `diff`, `dashboard`, the schema of `rvdiff --json`, and
+//! usage errors for out-of-range flags.
 //!
 //! All ledger state lives in a per-test temp directory passed via
 //! `--ledger-dir`, so these tests never touch `results/ledger/`.
@@ -125,6 +126,23 @@ fn diff_rejects_bad_specs() {
         .unwrap();
     assert!(!out.status.success(), "non-hex prefix must fail");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn out_of_range_flags_are_usage_errors() {
+    for (args, msg) in [
+        (
+            ["--bench", "gzip", "--sched", "mop-wor", "--stages", "7"].as_slice(),
+            "--stages must be in 0..2, got 7",
+        ),
+        (["--bench", "gzip", "--insts", "0"].as_slice(), "--insts must be at least 1"),
+    ] {
+        let out = mossim().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {stderr}");
+        assert!(stderr.contains(msg), "{args:?}: missing `{msg}` in {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run a simulation");
+    }
 }
 
 #[test]
