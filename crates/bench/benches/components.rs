@@ -25,7 +25,7 @@ fn bench_detector(c: &mut Criterion) {
         .collect();
     c.bench_function("component_detector_step", |b| {
         let mut det = MopDetector::new(MopConfig::default(), None, 4);
-        b.iter(|| black_box(det.step(&group, |_| false, |_, _| false)))
+        b.iter(|| black_box(det.step(&group, |_| false, |_, _| false).len()))
     });
 }
 

@@ -23,8 +23,15 @@
 //!    head and tail, none indirect);
 //! 5. afterwards pairs remaining candidates with identical (or no) source
 //!    origins into **independent MOPs** (Section 5.4.1).
+//!
+//! The matrix is held as bit masks, one `u32` per window position, so the
+//! window (the larger of the scope and the rename width) holds at most 32
+//! instructions. Row `j` of Figure 9 is `Marks::deps[j]` (the producers
+//! `j` reads), column `i` is `Marks::users[i]` (the consumers of `i`); the
+//! first-mark test, the reachability check and the origin comparison are
+//! mask operations, and a step allocates nothing once warm.
 
-use mos_isa::{DynInst, Program, Reg, StaticInst};
+use mos_isa::{DynInst, Program, Reg, SrcRegs, StaticInst};
 
 use crate::config::{CycleDetection, MopConfig};
 use crate::pointer::MopPointer;
@@ -43,7 +50,7 @@ pub enum CtrlOut {
 }
 
 /// Detection-logic view of one renamed dynamic instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectInst {
     /// Static index.
     pub sidx: u32,
@@ -56,7 +63,7 @@ pub struct DetectInst {
     /// Logical destination register.
     pub dst: Option<Reg>,
     /// Logical source registers (zero register excluded).
-    pub srcs: Vec<Reg>,
+    pub srcs: SrcRegs,
     /// Control transition from this instruction to the next in the stream.
     pub ctrl_out: CtrlOut,
 }
@@ -84,7 +91,7 @@ impl DetectInst {
             is_candidate: inst.is_mop_candidate(),
             is_valuegen: inst.is_value_generating_candidate(),
             dst: inst.dst(),
-            srcs: inst.src_regs().collect(),
+            srcs: inst.dep_srcs(),
             ctrl_out,
         }
     }
@@ -104,13 +111,6 @@ pub struct DetectedPair {
     pub independent: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Slot {
-    inst: DetectInst,
-    head: bool,
-    tail: bool,
-}
-
 /// Aggregate detection statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectStats {
@@ -126,6 +126,113 @@ pub struct DetectStats {
     pub flow_rejects: u64,
 }
 
+/// Window capacity in instructions: one bit per position in a `u32` row.
+const WINDOW: usize = 32;
+
+/// Bits `0..n` set (`n <= 32`).
+fn low(n: usize) -> u32 {
+    u32::MAX.checked_shr((WINDOW - n) as u32).unwrap_or(0)
+}
+
+/// Bits `a..b` set (`a <= b <= 32`).
+fn span(a: usize, b: usize) -> u32 {
+    low(b) & !low(a)
+}
+
+/// Positions of the set bits of `m`, lowest first.
+fn bits(mut m: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            i
+        })
+    })
+}
+
+/// The dependence matrix of one window (Figure 9) and the per-position
+/// attributes detection tests, as bit masks over window positions.
+struct Marks {
+    /// `deps[j]`: positions whose destination feeds `j` (row `j`'s marks;
+    /// the last writer of each source register within the window).
+    deps: [u32; WINDOW],
+    /// `users[i]`: positions that read `i`'s destination (column `i`).
+    users: [u32; WINDOW],
+    /// `ext[j]`: source registers of `j` with no producer in the window, as
+    /// a bit set over [`Reg::index`] (the external half of its origins).
+    ext: [u64; WINDOW],
+    /// `reach[j]`: transitive producers of `j` (filled only for
+    /// [`CycleDetection::Precise`]).
+    reach: [u32; WINDOW],
+    candidate: u32,
+    valuegen: u32,
+    /// Instructions whose outgoing transition is a taken direct / taken
+    /// indirect transfer.
+    direct: u32,
+    indirect: u32,
+}
+
+const _: () = assert!(Reg::NUM <= 64, "external origins are a u64 register set");
+
+impl Marks {
+    fn build(window: &[DetectInst], precise: bool) -> Marks {
+        let mut m = Marks {
+            deps: [0; WINDOW],
+            users: [0; WINDOW],
+            ext: [0; WINDOW],
+            reach: [0; WINDOW],
+            candidate: 0,
+            valuegen: 0,
+            direct: 0,
+            indirect: 0,
+        };
+        const NONE: u8 = u8::MAX;
+        let mut last_writer = [NONE; Reg::NUM];
+        for (j, inst) in window.iter().enumerate() {
+            let bit = 1 << j;
+            for src in &inst.srcs {
+                match last_writer[src.index()] {
+                    NONE => m.ext[j] |= 1 << src.index(),
+                    i => {
+                        m.deps[j] |= 1 << i;
+                        m.users[usize::from(i)] |= bit;
+                    }
+                }
+            }
+            if let Some(d) = inst.dst {
+                last_writer[d.index()] = j as u8;
+            }
+            if precise {
+                m.reach[j] = bits(m.deps[j]).fold(m.deps[j], |r, i| r | m.reach[i]);
+            }
+            if inst.is_candidate {
+                m.candidate |= bit;
+            }
+            if inst.is_valuegen {
+                m.valuegen |= bit;
+            }
+            match inst.ctrl_out {
+                CtrlOut::FallThrough => {}
+                CtrlOut::TakenDirect => m.direct |= bit,
+                CtrlOut::TakenIndirect => m.indirect |= bit,
+            }
+        }
+        m
+    }
+
+    /// Precise cycle test: grouping `(i, j)` deadlocks when some `k`
+    /// strictly between them descends from `i` and feeds `j`.
+    fn closes_cycle(&self, i: usize, j: usize) -> bool {
+        bits(self.reach[j] & span(i + 1, j)).any(|k| self.reach[k] & (1 << i) != 0)
+    }
+
+    /// Identical source origins (same in-window producers and same
+    /// external registers): the independent-MOP condition.
+    fn same_origins(&self, i: usize, j: usize) -> bool {
+        self.deps[i] == self.deps[j] && self.ext[i] == self.ext[j]
+    }
+}
+
 /// The MOP detection engine. Feed one rename group per call to
 /// [`MopDetector::step`]; it holds the previous groups needed to cover the
 /// configured scope.
@@ -134,7 +241,13 @@ pub struct MopDetector {
     config: MopConfig,
     max_srcs: Option<usize>,
     group_width: usize,
-    window: Vec<Slot>,
+    /// Window instructions, oldest first (capacity reserved up front).
+    window: Vec<DetectInst>,
+    /// Window positions already claimed as a MOP head / tail.
+    heads: u32,
+    tails: u32,
+    /// Pairs of the last step (reused).
+    out: Vec<DetectedPair>,
     stats: DetectStats,
 }
 
@@ -142,14 +255,27 @@ impl MopDetector {
     /// Create a detector. `group_width` is the rename width (4 in the
     /// paper); `max_srcs` is the wakeup-array source limit
     /// ([`crate::WakeupStyle::max_entry_sources`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window (the larger of the scope and `group_width`)
+    /// exceeds 32 instructions.
     pub fn new(config: MopConfig, max_srcs: Option<usize>, group_width: usize) -> MopDetector {
         assert!(group_width > 0);
         assert!(config.scope >= 2, "scope must cover at least a pair");
+        let cap = config.scope.max(group_width);
+        assert!(
+            cap <= WINDOW,
+            "detection window holds at most {WINDOW} instructions"
+        );
         MopDetector {
             config,
             max_srcs,
             group_width,
-            window: Vec::new(),
+            window: Vec::with_capacity(cap),
+            heads: 0,
+            tails: 0,
+            out: Vec::with_capacity(cap),
             stats: DetectStats::default(),
         }
     }
@@ -163,103 +289,76 @@ impl MopDetector {
     /// stream restarts from the recovery point).
     pub fn reset_window(&mut self) {
         self.window.clear();
+        self.heads = 0;
+        self.tails = 0;
     }
 
     /// Process one rename group. `has_pointer(sidx)` reports whether a
     /// pointer for a head is already stored or pending;
     /// `blacklisted(head, tail)` consults the last-arrival filter's ban
-    /// list. Returns the pairs detected this step.
+    /// list. Returns the pairs detected this step (valid until the next
+    /// call).
     pub fn step(
         &mut self,
         group: &[DetectInst],
         mut has_pointer: impl FnMut(u32) -> bool,
         mut blacklisted: impl FnMut(u32, u32) -> bool,
-    ) -> Vec<DetectedPair> {
+    ) -> &[DetectedPair] {
+        self.out.clear();
         // Slide the window: keep at most (scope - group_width) old slots.
         let keep = self.config.scope.saturating_sub(self.group_width);
         if self.window.len() > keep {
-            self.window.drain(..self.window.len() - keep);
+            let dropped = self.window.len() - keep;
+            self.window.drain(..dropped);
+            self.heads = self.heads.checked_shr(dropped as u32).unwrap_or(0);
+            self.tails = self.tails.checked_shr(dropped as u32).unwrap_or(0);
         }
         let cur_start = self.window.len();
-        for inst in group.iter().take(self.group_width) {
-            self.window.push(Slot {
-                inst: inst.clone(),
-                head: false,
-                tail: false,
-            });
-        }
+        self.window
+            .extend(group.iter().take(self.group_width).copied());
         let n = self.window.len();
-
-        // Direct register dependences within the window: deps[j] lists the
-        // window positions whose destination feeds j (last writer per reg).
-        let mut last_writer: [Option<usize>; Reg::NUM] = [None; Reg::NUM];
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        #[allow(clippy::needless_range_loop)] // j indexes two structures
-        for j in 0..n {
-            for src in &self.window[j].inst.srcs {
-                if let Some(i) = last_writer[src.index()] {
-                    if !deps[j].contains(&i) {
-                        deps[j].push(i);
-                    }
-                }
-            }
-            if let Some(d) = self.window[j].inst.dst {
-                last_writer[d.index()] = Some(j);
-            }
-        }
-
-        // Transitive reachability (ancestor sets) for precise cycle mode.
-        let reach: Vec<u32> = {
-            let mut r = vec![0u32; n];
-            for j in 0..n {
-                for &i in &deps[j] {
-                    r[j] |= r[i] | (1 << i);
-                }
-            }
-            r
-        };
-
-        let mut out = Vec::new();
+        let m = Marks::build(
+            &self.window,
+            self.config.cycle_detection == CycleDetection::Precise,
+        );
+        let chains = self.config.max_mop_size > 2;
+        // Rows in the previous group were already examined last step, so
+        // an old column only scans the current group.
+        let row_begin = |i: usize| if i < cur_start { cur_start } else { i + 1 };
 
         // --- Dependent-MOP pass ---
         // Each column proposes its first eligible row; the priority decoder
         // then resolves rows claimed by several columns in favor of the
         // oldest column, and losers forgo this step.
-        let mut proposals: Vec<(usize, usize)> = Vec::new();
+        let mut proposed = 0u32;
+        let mut proposal = [0u8; WINDOW];
+        #[allow(clippy::needless_range_loop)] // i indexes the window and the masks
         for i in 0..n {
-            let col = &self.window[i];
-            if col.head || !col.inst.is_valuegen || has_pointer(col.inst.sidx) {
+            let col = 1 << i;
+            let head_sidx = self.window[i].sidx;
+            if self.heads & col != 0 || m.valuegen & col == 0 || has_pointer(head_sidx) {
                 continue;
             }
             // A tail may head a further link only when chaining (>2-wide
             // MOPs) is enabled.
-            if col.tail && self.config.max_mop_size <= 2 {
+            if self.tails & col != 0 && !chains {
                 continue;
             }
-            // Rows in the previous group were already examined last step.
-            let row_begin = (i + 1).max(if i < cur_start { cur_start } else { i + 1 });
-            let mut mark_seen = (i + 1..row_begin).any(|j| deps[j].contains(&i));
-            for j in row_begin..n {
-                if !deps[j].contains(&i) {
-                    continue;
-                }
+            let begin = row_begin(i);
+            let mut mark_seen = m.users[i] & span(i + 1, begin) != 0;
+            for j in bits(m.users[i] & !low(begin)) {
                 let first_mark = !mark_seen;
                 mark_seen = true;
-                let row = &self.window[j];
-                if row.head || row.tail || !row.inst.is_candidate {
+                let row = 1 << j;
+                if (self.heads | self.tails) & row != 0 || m.candidate & row == 0 {
                     continue;
                 }
-                if blacklisted(col.inst.sidx, row.inst.sidx) {
+                if blacklisted(head_sidx, self.window[j].sidx) {
                     continue;
                 }
-                let n_src_operands = row.inst.srcs.len();
                 let cycle_ok = match self.config.cycle_detection {
-                    CycleDetection::Heuristic => n_src_operands <= 1 || first_mark,
-                    CycleDetection::Precise => {
-                        // A deadlock needs some k strictly between i and j
-                        // that descends from i and feeds j.
-                        !((i + 1..j).any(|k| reach[k] & (1 << i) != 0 && reach[j] & (1 << k) != 0))
-                    }
+                    CycleDetection::Heuristic => self.window[j].srcs.len() <= 1 || first_mark,
+                    CycleDetection::Precise => !m.closes_cycle(i, j),
                 };
                 if !cycle_ok {
                     self.stats.cycle_rejects += 1;
@@ -269,103 +368,80 @@ impl MopDetector {
                     self.stats.src_limit_rejects += 1;
                     continue;
                 }
-                match self.flow_between(i, j) {
-                    Some(_) => {}
-                    None => {
-                        self.stats.flow_rejects += 1;
-                        continue;
-                    }
+                if self.flow_between(&m, i, j).is_none() {
+                    self.stats.flow_rejects += 1;
+                    continue;
                 }
-                proposals.push((i, j));
+                proposed |= col;
+                proposal[i] = j as u8;
                 break;
             }
         }
-        let mut row_taken = vec![false; n];
-        for (i, j) in proposals {
-            if row_taken[j] {
+        let mut rows_taken = 0u32;
+        for i in bits(proposed) {
+            let j = usize::from(proposal[i]);
+            if rows_taken & (1 << j) != 0 {
                 continue; // priority decoder: an older column claimed it
             }
             // An instruction claimed as a tail earlier this step may not
             // also head a pair (unless >2-wide MOP chains are enabled).
-            if self.window[i].tail && self.config.max_mop_size <= 2 {
+            if self.tails & (1 << i) != 0 && !chains {
                 continue;
             }
-            row_taken[j] = true;
-            self.window[i].head = true;
-            self.window[j].tail = true;
-            let control = self.flow_between(i, j).expect("checked above");
-            let head = &self.window[i].inst;
-            let tail = &self.window[j].inst;
-            out.push(DetectedPair {
-                head_sidx: head.sidx,
-                head_line: head.line_addr,
-                pointer: MopPointer::new((j - i) as u8, control, tail.sidx),
-                independent: false,
-            });
-            self.stats.dependent_pairs += 1;
+            rows_taken |= 1 << j;
+            self.heads |= 1 << i;
+            self.tails |= 1 << j;
+            let control = self.flow_between(&m, i, j).expect("checked above");
+            self.emit(i, j, control, false);
         }
 
         // --- Independent-MOP pass (Section 5.4.1) ---
         if self.config.group_independent {
-            // Source origins: window producer position or the external
-            // logical register.
-            #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
-            enum Origin {
-                Window(usize),
-                External(Reg),
-            }
-            let mut origins: Vec<Vec<Origin>> = vec![Vec::new(); n];
-            let mut lw: [Option<usize>; Reg::NUM] = [None; Reg::NUM];
-            #[allow(clippy::needless_range_loop)] // j indexes two structures
-            for j in 0..n {
-                for src in &self.window[j].inst.srcs {
-                    let o = match lw[src.index()] {
-                        Some(i) => Origin::Window(i),
-                        None => Origin::External(*src),
-                    };
-                    if !origins[j].contains(&o) {
-                        origins[j].push(o);
-                    }
-                }
-                origins[j].sort();
-                if let Some(d) = self.window[j].inst.dst {
-                    lw[d.index()] = Some(j);
-                }
-            }
             for i in 0..n {
-                let c = &self.window[i];
-                if c.head || c.tail || !c.inst.is_candidate || has_pointer(c.inst.sidx) {
+                let col = 1 << i;
+                let head_sidx = self.window[i].sidx;
+                if (self.heads | self.tails) & col != 0
+                    || m.candidate & col == 0
+                    || has_pointer(head_sidx)
+                {
                     continue;
                 }
                 // Only pair across the frontier once, like the dependent
                 // pass: previous-group columns consider current-group rows.
-                let row_begin = (i + 1).max(if i < cur_start { cur_start } else { i + 1 });
-                for j in row_begin..n {
-                    let r = &self.window[j];
-                    if r.head || r.tail || !r.inst.is_candidate {
+                let rows = m.candidate & !(self.heads | self.tails) & !low(row_begin(i));
+                for j in bits(rows) {
+                    if !m.same_origins(i, j) || blacklisted(head_sidx, self.window[j].sidx) {
                         continue;
                     }
-                    if origins[i] != origins[j] || blacklisted(c.inst.sidx, r.inst.sidx) {
-                        continue;
-                    }
-                    let Some(control) = self.flow_between(i, j) else {
+                    let Some(control) = self.flow_between(&m, i, j) else {
                         continue;
                     };
-                    out.push(DetectedPair {
-                        head_sidx: c.inst.sidx,
-                        head_line: c.inst.line_addr,
-                        pointer: MopPointer::new((j - i) as u8, control, r.inst.sidx)
-                            .independent(),
-                        independent: true,
-                    });
-                    self.stats.independent_pairs += 1;
-                    self.window[i].head = true;
-                    self.window[j].tail = true;
+                    self.heads |= col;
+                    self.tails |= 1 << j;
+                    self.emit(i, j, control, true);
                     break;
                 }
             }
         }
-        out
+        &self.out
+    }
+
+    /// Record the pair `(i, j)` and count it.
+    fn emit(&mut self, i: usize, j: usize, control: bool, independent: bool) {
+        let (head, tail) = (&self.window[i], &self.window[j]);
+        let mut pointer = MopPointer::new((j - i) as u8, control, tail.sidx);
+        if independent {
+            pointer = pointer.independent();
+            self.stats.independent_pairs += 1;
+        } else {
+            self.stats.dependent_pairs += 1;
+        }
+        self.out.push(DetectedPair {
+            head_sidx: head.sidx,
+            head_line: head.line_addr,
+            pointer,
+            independent,
+        });
     }
 
     /// Check the merged source-tag count against the wakeup-array limit:
@@ -375,40 +451,43 @@ impl MopDetector {
         let Some(limit) = self.max_srcs else {
             return true;
         };
-        let head = &self.window[i].inst;
-        let tail = &self.window[j].inst;
-        let mut union: Vec<Reg> = head.srcs.clone();
-        for s in &tail.srcs {
-            if Some(*s) == head.dst {
+        let head = &self.window[i];
+        let tail = &self.window[j];
+        let mut union = [Reg::ZERO; 4];
+        let mut len = head.srcs.len();
+        union[..len].copy_from_slice(&head.srcs);
+        for &s in &tail.srcs {
+            if Some(s) == head.dst {
                 continue; // internal head->tail edge, no tag needed
             }
-            if !union.contains(s) {
-                union.push(*s);
+            if !union[..len].contains(&s) {
+                union[len] = s;
+                len += 1;
             }
         }
-        union.len() <= limit
+        len <= limit
     }
 
     /// Control-flow legality between window positions `i` and `j`
     /// (Section 5.1.3): at most one taken direct transfer, no taken
     /// indirect transfers, offset within the 3-bit pointer range. Returns
     /// the control bit, or `None` when the span is not encodable.
-    fn flow_between(&self, i: usize, j: usize) -> Option<bool> {
+    fn flow_between(&self, m: &Marks, i: usize, j: usize) -> Option<bool> {
         let offset = j - i;
         if offset == 0 || offset > MopPointer::MAX_OFFSET as usize || offset >= self.config.scope {
             return None;
         }
-        let mut taken_direct = 0;
-        for k in i..j {
-            match self.window[k].inst.ctrl_out {
-                CtrlOut::FallThrough => {}
-                CtrlOut::TakenDirect => taken_direct += 1,
-                CtrlOut::TakenIndirect => return None,
-            }
+        let between = span(i, j);
+        if m.indirect & between != 0 {
+            return None;
         }
+        let taken_direct = (m.direct & between).count_ones();
         (taken_direct <= 1).then_some(taken_direct == 1)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

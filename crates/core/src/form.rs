@@ -20,7 +20,7 @@
 //! The table supports checkpoints so the pipeline can roll wrong-path
 //! renames back on a branch squash.
 
-use mos_isa::{InstClass, Reg};
+use mos_isa::{InstClass, Reg, SrcRegs};
 
 use crate::pointer::MopPointer;
 use crate::uop::{GroupRole, SchedUop, Tag, UopId};
@@ -37,7 +37,7 @@ pub struct RenamedInst {
     /// Logical destination register (zero register writes excluded).
     pub dst: Option<Reg>,
     /// Logical source registers (zero register excluded).
-    pub srcs: Vec<Reg>,
+    pub srcs: SrcRegs,
     /// Control leaves this instruction taken (as fetched/predicted).
     pub taken: bool,
     /// Taken control transfer is indirect (pointers may not span it).
@@ -93,7 +93,7 @@ pub struct TableCheckpoint {
     map: [Option<Tag>; Reg::NUM],
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     pair_id: u64,
     mop_tag: Tag,
@@ -174,20 +174,27 @@ impl Former {
         t
     }
 
-    fn translate_srcs(&self, srcs: &[Reg]) -> Vec<Tag> {
-        let mut out = Vec::with_capacity(srcs.len());
+    /// The distinct in-flight tags `srcs` read, in operand order, as
+    /// `(tags, count)`.
+    fn translate_srcs(&self, srcs: &SrcRegs) -> ([Tag; 2], usize) {
+        let mut out = [Tag(0); 2];
+        let mut n = 0;
         for r in srcs {
             if let Some(t) = self.table[r.index()] {
-                if !out.contains(&t) {
-                    out.push(t);
+                if !out[..n].contains(&t) {
+                    out[n] = t;
+                    n += 1;
                 }
             }
         }
-        out
+        (out, n)
     }
 
     fn make_uop(&mut self, inst: &RenamedInst, dst: Option<Tag>, role: GroupRole) -> SchedUop {
-        let srcs = self.translate_srcs(&inst.srcs);
+        let (tags, n) = self.translate_srcs(&inst.srcs);
+        // The uop owns its source list (the queue keeps it for grants);
+        // an instruction with no in-flight source allocates nothing.
+        let srcs = tags[..n].to_vec();
         if let (Some(r), Some(t)) = (inst.dst, dst) {
             self.table[r.index()] = Some(t);
         }
@@ -210,17 +217,17 @@ impl Former {
     /// queue-stage steering decisions in order. Call once per cycle; an
     /// empty group (front-end bubble) still advances pending expiry.
     ///
-    /// Pipelines that need to checkpoint the translation table between
-    /// instructions (for branch squash) use the incremental
-    /// [`Former::begin_group`] / [`Former::feed`] / [`Former::end_group`]
-    /// calls this method wraps.
+    /// A test convenience: pipelines, which checkpoint the translation
+    /// table between instructions (for branch squash) and reuse one item
+    /// buffer, call [`Former::begin_group`] / [`Former::feed`] /
+    /// [`Former::end_group`] directly.
     pub fn step(&mut self, group: &[RenamedInst]) -> Vec<FormedItem> {
         self.begin_group();
         let mut items = Vec::with_capacity(group.len() + 1);
         for inst in group {
-            items.extend(self.feed(inst));
+            self.feed(inst, &mut items);
         }
-        items.extend(self.end_group());
+        self.end_group(&mut items);
         items
     }
 
@@ -229,10 +236,10 @@ impl Former {
         self.step_no += 1;
     }
 
-    /// Feed one renamed instruction of the current group.
-    pub fn feed(&mut self, inst: &RenamedInst) -> Vec<FormedItem> {
+    /// Feed one renamed instruction of the current group, appending its
+    /// steering decisions to `items`.
+    pub fn feed(&mut self, inst: &RenamedInst, items: &mut Vec<FormedItem>) {
         let step_no = self.step_no;
-        let mut items = Vec::with_capacity(2);
         {
             let pos = self.pos;
             self.pos += 1;
@@ -255,11 +262,10 @@ impl Former {
                 // cross-chain dependences, and a third member with an
                 // extra operand could close a dependence cycle through an
                 // instruction between the head and this tail.
-                let chain_safe = p.size < 2
-                    || self
-                        .translate_srcs(&inst.srcs)
-                        .iter()
-                        .all(|&t| t == p.mop_tag);
+                let chain_safe = p.size < 2 || {
+                    let (tags, n) = self.translate_srcs(&inst.srcs);
+                    tags[..n].iter().all(|&t| t == p.mop_tag)
+                };
                 let matches = !fused_here
                     && inst.sidx == p.expected_sidx
                     && !p.indirect_between
@@ -273,7 +279,7 @@ impl Former {
                     self.stats.cancelled += 1;
                     continue; // same k now holds the next pending
                 }
-                let p = self.pending[k].clone();
+                let p = self.pending[k];
                 let role = if p.independent {
                     GroupRole::MopIndependent
                 } else if inst.is_valuegen {
@@ -316,7 +322,7 @@ impl Former {
             }
             if fused_here {
                 self.account_taken(inst, pos);
-                return items;
+                return;
             }
 
             // 2. Does the instruction start a pair of its own?
@@ -350,7 +356,7 @@ impl Former {
                 });
                 items.push(FormedItem::HeadPending { head, pair_id });
                 self.account_taken(inst, pos);
-                return items;
+                return;
             }
 
             // 3. Ordinary singleton.
@@ -368,29 +374,24 @@ impl Former {
             items.push(FormedItem::Single(uop));
             self.account_taken(inst, pos);
         }
-        items
     }
 
     /// Finish the current group: expire pendings older than the
-    /// consecutive-group window (their heads issue as singletons).
-    pub fn end_group(&mut self) -> Vec<FormedItem> {
+    /// consecutive-group window (their heads issue as singletons),
+    /// appending a cancel for each to `items`.
+    pub fn end_group(&mut self, items: &mut Vec<FormedItem>) {
         let step_no = self.step_no;
-        let mut items = Vec::new();
-        let mut expired = Vec::new();
         let pos = self.pos;
+        let stats = &mut self.stats;
         self.pending.retain(|p| {
-            if p.born_step + 1 < step_no || (p.born_step < step_no && p.expected_pos < pos) {
-                expired.push(p.pair_id);
-                false
-            } else {
-                true
+            let expired =
+                p.born_step + 1 < step_no || (p.born_step < step_no && p.expected_pos < pos);
+            if expired {
+                items.push(FormedItem::Cancel { pair_id: p.pair_id });
+                stats.cancelled += 1;
             }
+            !expired
         });
-        for pair_id in expired {
-            items.push(FormedItem::Cancel { pair_id });
-            self.stats.cancelled += 1;
-        }
-        items
     }
 
     /// Record the control transition leaving `inst` into every pending

@@ -75,6 +75,11 @@ impl MopPointer {
 ///   will never re-create that exact pair, so it searches for an
 ///   alternative (Figure 12c).
 ///
+/// Per-head state is a dense array indexed by static instruction id, so
+/// the per-instruction queries (`lookup` at fetch, `has_pointer` and
+/// `is_blacklisted` in detection) never hash. Only line invalidation and
+/// the ban list of heads that actually have bans keep maps.
+///
 /// ```
 /// use mos_core::pointer::{MopPointer, MopPointerStore};
 /// let mut store = MopPointerStore::new();
@@ -86,9 +91,8 @@ impl MopPointer {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MopPointerStore {
-    pointers: HashMap<u32, MopPointer>,
-    /// Head static index -> line address it was installed under.
-    line_of: HashMap<u32, u64>,
+    /// Per-head state by static index, grown on first touch.
+    heads: Vec<Head>,
     /// Line address -> head static indices resident on it.
     by_line: HashMap<u64, Vec<u32>>,
     /// Pairs the last-arrival filter has banned.
@@ -100,10 +104,36 @@ pub struct MopPointerStore {
     filter_deletes: u64,
 }
 
+/// What the store knows about one static instruction as a MOP head.
+#[derive(Debug, Clone, Copy, Default)]
+struct Head {
+    /// The visible pointer, if any.
+    pointer: Option<MopPointer>,
+    /// The I-cache line the pointer was installed under (valid while
+    /// `pointer` is `Some`).
+    line: u64,
+    /// Installs for this head still waiting out the detection delay.
+    pending: u32,
+    /// Some pair with this head is on the blacklist.
+    banned: bool,
+}
+
 impl MopPointerStore {
     /// Empty store.
     pub fn new() -> MopPointerStore {
         MopPointerStore::default()
+    }
+
+    fn head(&self, sidx: u32) -> Head {
+        self.heads.get(sidx as usize).copied().unwrap_or_default()
+    }
+
+    fn head_mut(&mut self, sidx: u32) -> &mut Head {
+        let i = sidx as usize;
+        if i >= self.heads.len() {
+            self.heads.resize(i + 1, Head::default());
+        }
+        &mut self.heads[i]
     }
 
     /// Queue a pointer for `head_sidx`, resident on I-cache line
@@ -117,22 +147,19 @@ impl MopPointerStore {
         line_addr: u64,
         ready_at: u64,
     ) {
-        if self.blacklist.contains(&(head_sidx, pointer.tail_sidx)) {
+        if self.is_blacklisted(head_sidx, pointer.tail_sidx) {
             return;
         }
         // Keep the queue ordered; detection emits in nondecreasing cycles.
         debug_assert!(self.pending.back().is_none_or(|p| p.0 <= ready_at));
         self.pending.push_back((ready_at, head_sidx, pointer, line_addr));
+        self.head_mut(head_sidx).pending += 1;
     }
 
     /// Make all pointers whose delay has elapsed visible. Call once per
     /// cycle (or whenever convenient) with the current cycle.
     pub fn tick(&mut self, now: u64) {
-        while let Some(&(ready, head, ptr, line)) = self.pending.front() {
-            if ready > now {
-                break;
-            }
-            self.pending.pop_front();
+        while let Some((head, ptr, line)) = self.pop_ready(now) {
             self.install_now(head, ptr, line);
         }
     }
@@ -142,33 +169,40 @@ impl MopPointerStore {
     /// (pointers dropped by the blacklist are not reported). Used by the
     /// simulator's event tracer.
     pub fn tick_into(&mut self, now: u64, out: &mut Vec<(u32, u64)>) {
-        while let Some(&(ready, head, ptr, line)) = self.pending.front() {
-            if ready > now {
-                break;
-            }
-            self.pending.pop_front();
+        while let Some((head, ptr, line)) = self.pop_ready(now) {
             if self.install_now(head, ptr, line) {
                 out.push((head, line));
             }
         }
     }
 
+    fn pop_ready(&mut self, now: u64) -> Option<(u32, MopPointer, u64)> {
+        let &(ready, head, ptr, line) = self.pending.front()?;
+        if ready > now {
+            return None;
+        }
+        self.pending.pop_front();
+        self.heads[head as usize].pending -= 1;
+        Some((head, ptr, line))
+    }
+
     fn install_now(&mut self, head_sidx: u32, pointer: MopPointer, line_addr: u64) -> bool {
-        if self.blacklist.contains(&(head_sidx, pointer.tail_sidx)) {
+        if self.is_blacklisted(head_sidx, pointer.tail_sidx) {
             return false;
         }
-        if let Some(old_line) = self.line_of.insert(head_sidx, line_addr) {
-            if old_line != line_addr {
-                if let Some(v) = self.by_line.get_mut(&old_line) {
-                    v.retain(|&s| s != head_sidx);
-                }
+        let h = self.head_mut(head_sidx);
+        let old_line = h.pointer.map(|_| h.line);
+        h.pointer = Some(pointer);
+        h.line = line_addr;
+        if let Some(old_line) = old_line.filter(|&l| l != line_addr) {
+            if let Some(v) = self.by_line.get_mut(&old_line) {
+                v.retain(|&s| s != head_sidx);
             }
         }
         let heads = self.by_line.entry(line_addr).or_default();
         if !heads.contains(&head_sidx) {
             heads.push(head_sidx);
         }
-        self.pointers.insert(head_sidx, pointer);
         self.installs += 1;
         true
     }
@@ -176,41 +210,37 @@ impl MopPointerStore {
     /// The pointer fetched along with the instruction at `head_sidx`, if
     /// one is currently stored.
     pub fn lookup(&self, head_sidx: u32) -> Option<MopPointer> {
-        self.pointers.get(&head_sidx).copied()
+        self.head(head_sidx).pointer
     }
 
-    /// `true` when a pointer (visible or pending) exists for `head_sidx`,
-    /// or the head already has a banned pair under consideration. Detection
-    /// uses this to avoid redundant work.
+    /// `true` when a pointer for `head_sidx` is visible or still waiting
+    /// out the detection delay. Detection uses this to avoid redundant
+    /// work.
     pub fn has_pointer(&self, head_sidx: u32) -> bool {
-        self.pointers.contains_key(&head_sidx)
-            || self.pending.iter().any(|p| p.1 == head_sidx)
+        let h = self.head(head_sidx);
+        h.pointer.is_some() || h.pending > 0
     }
 
     /// Drop every pointer whose head instruction lives on the evicted
     /// I-cache line `line_addr`.
     pub fn invalidate_line(&mut self, line_addr: u64) {
-        if let Some(heads) = self.by_line.remove(&line_addr) {
-            for h in heads {
-                if self.pointers.remove(&h).is_some() {
-                    self.invalidations += 1;
-                }
-                self.line_of.remove(&h);
-            }
-        }
+        self.invalidate_line_with(line_addr, |_| {});
     }
 
     /// [`MopPointerStore::invalidate_line`] that additionally appends the
     /// head static index of each pointer actually dropped to `out`. Used
     /// by the simulator's event tracer.
     pub fn invalidate_line_into(&mut self, line_addr: u64, out: &mut Vec<u32>) {
+        self.invalidate_line_with(line_addr, |h| out.push(h));
+    }
+
+    fn invalidate_line_with(&mut self, line_addr: u64, mut dropped: impl FnMut(u32)) {
         if let Some(heads) = self.by_line.remove(&line_addr) {
             for h in heads {
-                if self.pointers.remove(&h).is_some() {
+                if self.heads[h as usize].pointer.take().is_some() {
                     self.invalidations += 1;
-                    out.push(h);
+                    dropped(h);
                 }
-                self.line_of.remove(&h);
             }
         }
     }
@@ -220,22 +250,25 @@ impl MopPointerStore {
     /// blacklist the pair so detection searches for an alternative tail.
     /// Returns `true` when a pointer was actually deleted.
     pub fn delete_and_blacklist(&mut self, head_sidx: u32) -> bool {
-        if let Some(ptr) = self.pointers.remove(&head_sidx) {
-            self.blacklist.insert((head_sidx, ptr.tail_sidx));
-            self.filter_deletes += 1;
-            if let Some(line) = self.line_of.remove(&head_sidx) {
-                if let Some(v) = self.by_line.get_mut(&line) {
-                    v.retain(|&s| s != head_sidx);
-                }
-            }
-            return true;
+        let Some(h) = self.heads.get_mut(head_sidx as usize) else {
+            return false;
+        };
+        let Some(ptr) = h.pointer.take() else {
+            return false;
+        };
+        h.banned = true;
+        let line = h.line;
+        self.blacklist.insert((head_sidx, ptr.tail_sidx));
+        self.filter_deletes += 1;
+        if let Some(v) = self.by_line.get_mut(&line) {
+            v.retain(|&s| s != head_sidx);
         }
-        false
+        true
     }
 
     /// `true` when the exact pair has been banned by the filter.
     pub fn is_blacklisted(&self, head_sidx: u32, tail_sidx: u32) -> bool {
-        self.blacklist.contains(&(head_sidx, tail_sidx))
+        self.head(head_sidx).banned && self.blacklist.contains(&(head_sidx, tail_sidx))
     }
 
     /// `(installs, line invalidations, filter deletions)` so far.
@@ -269,6 +302,24 @@ mod tests {
         assert!(s.has_pointer(5), "pending pointers count as present");
         s.tick(100);
         assert_eq!(s.lookup(5).map(|p| p.tail_sidx), Some(6));
+    }
+
+    #[test]
+    fn pending_installs_are_counted_per_head() {
+        let mut s = MopPointerStore::new();
+        s.schedule_install(5, MopPointer::new(1, false, 6), 0x40, 10);
+        s.schedule_install(5, MopPointer::new(1, false, 6), 0x40, 20);
+        s.tick(10);
+        s.delete_and_blacklist(5);
+        assert_eq!(s.lookup(5), None);
+        assert!(s.has_pointer(5), "the second install is still pending");
+        assert!(!s.has_pointer(6) && !s.has_pointer(1_000), "untouched heads");
+        // The banned pair's pending install is dropped when it comes due,
+        // and the head's pending count drains with it.
+        s.tick(20);
+        assert_eq!(s.lookup(5), None);
+        assert!(!s.has_pointer(5));
+        assert!(s.is_blacklisted(5, 6) && !s.is_blacklisted(5, 7));
     }
 
     #[test]

@@ -804,16 +804,8 @@ impl IssueQueue {
     /// issued; [`InsertError::MopTooLarge`] if the configured size is
     /// exceeded.
     pub fn fuse_tail(&mut self, head: EntryId, tail: SchedUop) -> Result<(), InsertError> {
-        let max = self.config.mop.max_mop_size;
-        let Some(e) = Self::entry_mut(&mut self.entries, head) else {
-            return Err(InsertError::BadEntry);
-        };
-        if e.state != EntryState::Waiting {
-            return Err(InsertError::BadEntry);
-        }
-        if e.uops.len() + 1 > max {
-            return Err(InsertError::MopTooLarge);
-        }
+        self.fusible(head)?;
+        let e = Self::entry_mut(&mut self.entries, head).expect("checked fusible");
         let mop_tag = e.dst;
         for &t in &tail.srcs {
             // Skip the internal head->tail edge and long-done tags.
@@ -844,6 +836,24 @@ impl IssueQueue {
         e.uops.push(tail);
         self.waiting.insert(head.index);
         self.tags.mark(head.index);
+        Ok(())
+    }
+
+    /// `true` when [`IssueQueue::fuse_tail`] into `head` would succeed, so
+    /// a caller can keep the tail for a fallback insert without cloning it.
+    pub fn can_fuse(&self, head: EntryId) -> bool {
+        self.fusible(head).is_ok()
+    }
+
+    fn fusible(&self, head: EntryId) -> Result<(), InsertError> {
+        let e = self
+            .entries
+            .get(head.index)
+            .filter(|e| e.gen == head.gen && e.state == EntryState::Waiting)
+            .ok_or(InsertError::BadEntry)?;
+        if e.uops.len() + 1 > self.config.mop.max_mop_size {
+            return Err(InsertError::MopTooLarge);
+        }
         Ok(())
     }
 
@@ -1048,7 +1058,17 @@ impl IssueQueue {
             }
             self.stats.issued_entries += 1;
             self.stats.issued_uops += e.uops.len() as u64;
-            let mut uops = self.spare_uops.pop().unwrap_or_default();
+            // Prefer a spare of the same length: `clone_from` then reuses
+            // every member's source list instead of cloning or dropping
+            // the members a singleton and a MOP do not share.
+            let mut uops = match self
+                .spare_uops
+                .iter()
+                .rposition(|u| u.len() == e.uops.len())
+            {
+                Some(k) => self.spare_uops.swap_remove(k),
+                None => self.spare_uops.pop().unwrap_or_default(),
+            };
             uops.clone_from(&e.uops);
             let entry = EntryId {
                 index: idx,

@@ -73,9 +73,9 @@ fn run_former(stream: &[RandInst]) -> Vec<FormedItem> {
     for (g, chunk) in stream.chunks(4).enumerate() {
         f.begin_group();
         for (k, r) in chunk.iter().enumerate() {
-            items.extend(f.feed(&to_renamed(g * 4 + k, r)));
+            f.feed(&to_renamed(g * 4 + k, r), &mut items);
         }
-        items.extend(f.end_group());
+        f.end_group(&mut items);
     }
     items
 }
@@ -166,14 +166,16 @@ proptest! {
     #[test]
     fn disabled_former_is_pure_renaming(stream in prop::collection::vec(rand_inst(), 1..48)) {
         let mut f = Former::new(false, 2);
+        let mut items = Vec::new();
         for (g, chunk) in stream.chunks(4).enumerate() {
             f.begin_group();
             for (k, r) in chunk.iter().enumerate() {
-                for item in f.feed(&to_renamed(g * 4 + k, r)) {
-                    prop_assert!(matches!(item, FormedItem::Single(_)));
-                }
+                f.feed(&to_renamed(g * 4 + k, r), &mut items);
+                prop_assert_eq!(items.len(), 1);
+                prop_assert!(matches!(items.pop(), Some(FormedItem::Single(_))));
             }
-            prop_assert!(f.end_group().is_empty());
+            f.end_group(&mut items);
+            prop_assert!(items.is_empty());
         }
     }
 }

@@ -1,7 +1,7 @@
 use std::fmt;
 
 
-use crate::{InstClass, Opcode, Reg};
+use crate::{InstClass, Opcode, Reg, SrcRegs};
 
 /// A static instruction as laid out in the program image.
 ///
@@ -175,6 +175,11 @@ impl StaticInst {
     /// Dependence-carrying source registers (zero-register reads excluded).
     pub fn src_regs(&self) -> impl Iterator<Item = Reg> + '_ {
         self.srcs.iter().flatten().copied().filter(|r| !r.is_zero())
+    }
+
+    /// [`StaticInst::src_regs`] as an inline, `Copy` list.
+    pub fn dep_srcs(&self) -> SrcRegs {
+        self.src_regs().collect()
     }
 
     /// Immediate operand.

@@ -47,5 +47,5 @@ pub use class::{FuKind, InstClass};
 pub use inst::StaticInst;
 pub use opcode::Opcode;
 pub use program::{Program, ProgramBuildError};
-pub use reg::Reg;
+pub use reg::{Reg, SrcRegs};
 pub use trace::{DynInst, ReplayTrace, TraceSource};

@@ -94,6 +94,75 @@ impl fmt::Display for Reg {
     }
 }
 
+/// The dependence-carrying source registers of one instruction, stored
+/// inline: a [`StaticInst`](crate::StaticInst) has at most two sources, so
+/// the rename and detection stages copy this instead of collecting a
+/// `Vec`. Dereferences to a slice in operand order; duplicates (`add r1,
+/// r2, r2`) are kept, as [`StaticInst::src_regs`](crate::StaticInst::src_regs)
+/// yields them.
+///
+/// ```
+/// use mos_isa::{Reg, SrcRegs};
+/// let s: SrcRegs = [Reg::int(2), Reg::int(2)].into_iter().collect();
+/// assert_eq!(s.len(), 2);
+/// assert!(s.contains(&Reg::int(2)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SrcRegs {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl SrcRegs {
+    /// No sources.
+    pub const EMPTY: SrcRegs = SrcRegs {
+        regs: [Reg::ZERO; 2],
+        len: 0,
+    };
+
+    /// Append a source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two sources are already present.
+    pub fn push(&mut self, r: Reg) {
+        assert!(self.len < 2, "an instruction has at most two sources");
+        self.regs[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+}
+
+impl Default for SrcRegs {
+    fn default() -> SrcRegs {
+        SrcRegs::EMPTY
+    }
+}
+
+impl std::ops::Deref for SrcRegs {
+    type Target = [Reg];
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl FromIterator<Reg> for SrcRegs {
+    fn from_iter<I: IntoIterator<Item = Reg>>(iter: I) -> SrcRegs {
+        let mut s = SrcRegs::EMPTY;
+        for r in iter {
+            s.push(r);
+        }
+        s
+    }
+}
+
+impl<'a> IntoIterator for &'a SrcRegs {
+    type Item = &'a Reg;
+    type IntoIter = std::slice::Iter<'a, Reg>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +194,20 @@ mod tests {
         assert_eq!(Reg::int(7).to_string(), "r7");
         assert_eq!(Reg::fp(7).to_string(), "f7");
         assert_eq!(Reg::ZERO.to_string(), "r31");
+    }
+
+    #[test]
+    fn src_regs_keep_order_and_duplicates() {
+        let s: SrcRegs = [Reg::int(4), Reg::int(1)].into_iter().collect();
+        assert_eq!(&*s, &[Reg::int(4), Reg::int(1)]);
+        assert_eq!(SrcRegs::default().len(), 0);
+        assert_eq!(SrcRegs::default(), SrcRegs::EMPTY);
+    }
+
+    #[test]
+    #[should_panic]
+    fn third_source_panics() {
+        let _: SrcRegs = [Reg::int(1); 3].into_iter().collect();
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod report;
 mod sim;
 mod stats;
 pub mod timeline;
+mod wheel;
 
 pub use config::MachineConfig;
 pub use cpistack::CpiStack;

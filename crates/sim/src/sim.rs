@@ -2,7 +2,7 @@
 //! delay line, rename/MOP formation, queue insertion, scheduling,
 //! execution events, branch resolution/squash, and in-order commit.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use mos_core::detect::{DetectInst, MopDetector};
 use mos_core::form::{FormedItem, Former, RenamedInst, TableCheckpoint};
@@ -19,6 +19,7 @@ use crate::metrics::{Cum, SimMetrics};
 use crate::oracle::{InvariantOracle, OracleMode};
 use crate::stats::SimStats;
 use crate::timeline::Timeline;
+use crate::wheel::Wheel;
 
 /// One instruction traveling the front end.
 #[derive(Debug, Clone)]
@@ -105,6 +106,8 @@ pub struct Simulator<T: TraceSource> {
     /// distinguishes recovery stalls from ordinary I-miss fetch stalls).
     redirect_until: u64,
     front: VecDeque<FrontGroup>,
+    /// Emptied `FrontGroup::insts` buffers, reused by fetch.
+    spare_insts: Vec<Vec<FrontInst>>,
     next_id: u64,
 
     // Macro-op machinery.
@@ -119,7 +122,7 @@ pub struct Simulator<T: TraceSource> {
     // Back end.
     queue: IssueQueue,
     rob: VecDeque<RobEntry>,
-    events: BTreeMap<u64, Vec<Ev>>,
+    events: Wheel<Ev>,
     /// In-flight store addresses (8-byte aligned) with refcounts, for
     /// store-to-load forwarding. Bounded by ROB stores; linear scan.
     store_inflight: Vec<(u64, u32)>,
@@ -150,6 +153,7 @@ pub struct Simulator<T: TraceSource> {
     issue_buf: Vec<Issued>,
     replay_buf: Vec<UopId>,
     detect_buf: Vec<DetectInst>,
+    form_buf: Vec<FormedItem>,
     trace_buf: Vec<TraceEvent>,
     ptr_install_buf: Vec<(u32, u64)>,
     ptr_evict_buf: Vec<u32>,
@@ -173,6 +177,7 @@ impl<T: TraceSource> Simulator<T> {
             fetch_stall_until: 0,
             redirect_until: 0,
             front: VecDeque::new(),
+            spare_insts: Vec::new(),
             next_id: 0,
             pointers: MopPointerStore::new(),
             detector: MopDetector::new(
@@ -184,7 +189,7 @@ impl<T: TraceSource> Simulator<T> {
             entry_map: Vec::new(),
             queue: IssueQueue::new(cfg.sched.clone()),
             rob: VecDeque::new(),
-            events: BTreeMap::new(),
+            events: Wheel::new(Self::event_horizon(&cfg)),
             store_inflight: Vec::new(),
             now: 0,
             last_commit_cycle: 0,
@@ -199,6 +204,7 @@ impl<T: TraceSource> Simulator<T> {
             issue_buf: Vec::new(),
             replay_buf: Vec::new(),
             detect_buf: Vec::new(),
+            form_buf: Vec::new(),
             trace_buf: Vec::new(),
             ptr_install_buf: Vec::new(),
             ptr_evict_buf: Vec::new(),
@@ -219,6 +225,14 @@ impl<T: TraceSource> Simulator<T> {
         #[cfg(debug_assertions)]
         sim.enable_slot_accounting();
         sim
+    }
+
+    /// The farthest ahead of the present any event is scheduled: an
+    /// `Exec` for the last member of a MOP issued now, or a
+    /// `LoadResolve` from a load executing now.
+    fn event_horizon(cfg: &MachineConfig) -> u64 {
+        let exec = u64::from(cfg.exec_offset) + cfg.sched.mop.max_mop_size.max(1) as u64 - 1;
+        exec.max(u64::from(cfg.dl1.hit_latency))
     }
 
     /// Attach an event sink; enables tracing for the rest of the run.
@@ -441,11 +455,11 @@ impl<T: TraceSource> Simulator<T> {
         self.insert_blocked = false;
 
         // 1. Execution/resolution events.
-        if let Some(evs) = self.events.remove(&now) {
-            for ev in evs {
-                self.handle_event(ev);
-            }
+        let mut evs = self.events.take(now);
+        for ev in evs.drain(..) {
+            self.handle_event(ev);
         }
+        self.events.restore(now, evs);
 
         // 2. Rename / MOP formation / queue insertion.
         self.insert_stage();
@@ -583,7 +597,10 @@ impl<T: TraceSource> Simulator<T> {
             return;
         }
 
-        let mut insts = Vec::with_capacity(self.cfg.fetch_width);
+        let mut insts = self
+            .spare_insts
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.cfg.fetch_width));
         for _ in 0..self.cfg.fetch_width {
             let sidx = self.fetch_pc;
             let Some(inst) = self.program.inst(sidx).copied() else {
@@ -684,7 +701,9 @@ impl<T: TraceSource> Simulator<T> {
                 break; // fetch stops at the first taken branch
             }
         }
-        if !insts.is_empty() {
+        if insts.is_empty() {
+            self.spare_insts.push(insts);
+        } else {
             self.front.push_back(FrontGroup {
                 insts,
                 fetched_at: now,
@@ -757,12 +776,13 @@ impl<T: TraceSource> Simulator<T> {
             self.insert_blocked = true;
             return;
         }
-        let group = self.front.pop_front().expect("checked above");
+        let mut group = self.front.pop_front().expect("checked above");
 
         let mut detect_group = std::mem::take(&mut self.detect_buf);
         detect_group.clear();
+        let mut items = std::mem::take(&mut self.form_buf);
         self.former.begin_group();
-        for fi in group.insts {
+        for fi in group.insts.drain(..) {
             let inst = *self.program.inst(fi.sidx).expect("fetched inst exists");
             if inst.class() == InstClass::Nop || inst.class() == InstClass::Halt {
                 continue; // the decoder filters no-ops without executing
@@ -775,7 +795,7 @@ impl<T: TraceSource> Simulator<T> {
                 sidx: fi.sidx,
                 class: inst.class(),
                 dst: inst.dst(),
-                srcs: inst.src_regs().collect(),
+                srcs: inst.dep_srcs(),
                 taken: fi.stream_taken,
                 taken_indirect: matches!(
                     inst.class(),
@@ -787,8 +807,8 @@ impl<T: TraceSource> Simulator<T> {
                 fetched_at: group.fetched_at,
                 wrong_path: fi.dyn_.is_none(),
             };
-            let items = self.former.feed(&renamed);
-            let role = self.apply_form_items(items);
+            self.former.feed(&renamed, &mut items);
+            let role = self.apply_form_items(&mut items);
 
             // Branches that can squash record recovery state.
             let can_squash = matches!(
@@ -833,8 +853,10 @@ impl<T: TraceSource> Simulator<T> {
                 }
             }
         }
-        let end_items = self.former.end_group();
-        self.apply_form_items(end_items);
+        self.former.end_group(&mut items);
+        self.apply_form_items(&mut items);
+        self.form_buf = items;
+        self.spare_insts.push(group.insts);
 
         if self.cfg.mops_enabled() && !detect_group.is_empty() {
             let pairs = {
@@ -871,11 +893,11 @@ impl<T: TraceSource> Simulator<T> {
         self.detect_buf = detect_group;
     }
 
-    /// Apply formation steering to the queue; returns the role of the
-    /// last inserted/fused uop (the role recorded in the ROB).
-    fn apply_form_items(&mut self, items: Vec<FormedItem>) -> GroupRole {
+    /// Apply (and drain) formation steering to the queue; returns the role
+    /// of the last inserted/fused uop (the role recorded in the ROB).
+    fn apply_form_items(&mut self, items: &mut Vec<FormedItem>) -> GroupRole {
         let mut role = GroupRole::NotCandidate;
-        for item in items {
+        for item in items.drain(..) {
             match item {
                 FormedItem::Single(uop) => {
                     role = uop.role;
@@ -900,17 +922,19 @@ impl<T: TraceSource> Simulator<T> {
                         .iter()
                         .position(|&(p, _)| p == pair_id)
                         .map(|i| (i, self.entry_map[i].1));
-                    if let Some((i, eid)) = found {
-                        if self.queue.fuse_tail(eid, tail.clone()).is_err() {
-                            // Entry vanished (squash race): insert alone.
-                            self.queue.insert(tail).expect("space checked");
-                        } else if chain_more {
-                            self.queue.mark_pending(eid);
-                        } else {
-                            self.entry_map.swap_remove(i);
+                    match found {
+                        Some((i, eid)) if self.queue.can_fuse(eid) => {
+                            self.queue.fuse_tail(eid, tail).expect("checked fusible");
+                            if chain_more {
+                                self.queue.mark_pending(eid);
+                            } else {
+                                self.entry_map.swap_remove(i);
+                            }
                         }
-                    } else {
-                        self.queue.insert(tail).expect("space checked");
+                        // Entry vanished (squash race): insert alone.
+                        _ => {
+                            self.queue.insert(tail).expect("space checked");
+                        }
                     }
                 }
                 FormedItem::Cancel { pair_id } => {
@@ -975,10 +999,7 @@ impl<T: TraceSource> Simulator<T> {
                     },
                 );
             }
-            self.events
-                .entry(exec_at)
-                .or_default()
-                .push(Ev::Exec { id: uop.id, gen });
+            self.events.push(self.now, exec_at, Ev::Exec { id: uop.id, gen });
         }
     }
 
@@ -1116,13 +1137,17 @@ impl<T: TraceSource> Simulator<T> {
                 // This load's broadcast tag (MOP-translated) was recorded
                 // on its ROB entry at issue.
                 let tag = self.rob[idx].load_tag;
-                self.events.entry(discovery).or_default().push(Ev::LoadResolve {
-                    id,
-                    gen,
-                    tag,
-                    hit,
-                    data_ready,
-                });
+                self.events.push(
+                    now,
+                    discovery,
+                    Ev::LoadResolve {
+                        id,
+                        gen,
+                        tag,
+                        hit,
+                        data_ready,
+                    },
+                );
             }
             InstClass::Store => {
                 self.rob[idx].complete_at = Some(now + 1);
@@ -1186,7 +1211,11 @@ impl<T: TraceSource> Simulator<T> {
             // the ROB entry.
             debug_assert!(b.dyn_.is_none(), "only wrong-path uops are squashed");
         }
-        self.front.clear();
+        for g in self.front.drain(..) {
+            let mut insts = g.insts;
+            insts.clear();
+            self.spare_insts.push(insts);
+        }
         self.entry_map.clear();
         if let Some(cp) = table_cp {
             self.former.squash(&cp);

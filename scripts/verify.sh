@@ -20,6 +20,9 @@
 #   9. sim identity: the release `simbench` runs each workload once
 #      (--seconds 0) and must report every job correct: pinned SimStats
 #      digests, slot conservation, the oracle and the RV differential
+#  10. allocation budget: release-only tests count heap allocations in
+#      the warm simulator (at most two per commit) and in the pointer
+#      store / detection / formation path (none beyond uop source lists)
 # Optional extras with --full: jobs-determinism check + perf snapshot.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -142,6 +145,11 @@ for wl in loop_bound memory_bound rv_checked; do
     grep -q '"failed": 0' "/tmp/verify_simbench_${wl}.txt"
     echo "  $wl: every job correct"
 done
+
+echo "== allocation budget (release: the debug observers allocate) =="
+cargo test -q --release -p mos-sim --test alloc_budget
+cargo test -q --release -p mos-core --test alloc_free
+echo "  steady state within budget"
 
 if [[ "${1:-}" == "--full" ]]; then
     bin=./target/release/experiments

@@ -1,77 +1,7 @@
 //! `mossim` — run one benchmark or kernel under one scheduler and print
 //! the full statistics report.
 //!
-//! ```text
-//! mossim [trace|report|pipeview|cpistack|rvdiff|history|diff|dashboard] [options]
-//!   --bench NAME        benchmark model (default gzip) or kernel with --kernel
-//!   --kernel NAME       run an assembly kernel instead of a benchmark model
-//!   --rv PROG           run a real RV32 program instead: a suite name
-//!                       (sum_loop, fib_rec, memcpy, strlen, gcd, collatz,
-//!                       bubble_sort), a .s assembly file, or a flat
-//!                       little-endian RV32 binary
-//!   --sched KIND        base | 2cycle | mop-2src | mop-wor | sf-squash |
-//!                       sf-scoreboard | spec-wakeup  (default mop-wor)
-//!   --queue N           issue-queue entries; 0 = unrestricted (default 32)
-//!   --stages N          extra MOP formation stages, 0..2 (default 1)
-//!   --insts N           committed instructions, >= 1 (default 100000)
-//!   --seed N            workload seed (default 42)
-//!   --ideal-branch      perfect branch prediction
-//!   --ideal-memory      perfect data cache
-//!   --timeline N        print the first N uop timelines
-//!
-//! trace mode (per-cycle event tracing):
-//!   --out FILE          write the last --last events as JSONL
-//!                       (default trace.jsonl)
-//!   --last N            ring-buffer capacity (default 4096)
-//!   --check             run the scheduling-invariant oracle over the
-//!                       stream; print violations and exit nonzero
-//!
-//! report mode (interval metrics + run report):
-//!   --interval N        metric snapshot interval in cycles (default 10000)
-//!   --json FILE         also write the report as one JSON document
-//!                       (Markdown always goes to stdout)
-//!
-//! pipeview mode (per-instruction pipeline trace):
-//!   --uops N            record the first N uops (default 256)
-//!   --out FILE          write Kanata log to FILE instead of stdout
-//!                       (open it in Konata or any Kanata viewer)
-//!
-//! cpistack mode (top-down cycle accounting):
-//!   --compare A,B,..    run the same program under several schedulers
-//!                       and print per-cause share deltas vs the first
-//!                       (aliases: twocycle = 2cycle, mop = mop-wor)
-//!   --json FILE         also write the stack(s) as one JSON document
-//!
-//! rvdiff mode (differential functional oracle over RV32 programs):
-//!   --rv PROG           check one program (default: the whole suite)
-//!   --sched KIND        check one scheduler (default: all seven)
-//!   --json FILE         also write a schema-checked JSON report (per
-//!                       program/scheduler: pass/fail, uop counts,
-//!                       fusion rate, sched_loop share)
-//!
-//! run ledger (content-addressed archive under results/ledger/, root
-//! overridable with --ledger-dir PATH or MOS_LEDGER_DIR):
-//!   --save              archive the run (default, report and cpistack
-//!                       modes): key = hash(program, config, scheduler,
-//!                       schema, git rev); record = totals + CPI stack
-//!                       (+ full report JSON in report mode)
-//!
-//! history mode (list archived runs, newest first):
-//!   --bench NAME        only this workload
-//!   --sched KIND        only this scheduler
-//!   --limit N           show at most N rows (default 20)
-//!
-//! diff mode (side-by-side metric deltas between two archived runs):
-//!   mossim diff [A] [B] A/B are `latest`, `latest-N`, or a key prefix
-//!                       (default: latest vs latest-1); sim-side deltas
-//!                       are always real, host throughput is advisory
-//!   --noise PCT         host-throughput noise band (default 20)
-//!
-//! dashboard mode (regression dashboard over history + ledger):
-//!   --history FILE      bench history (default results/bench_history.jsonl)
-//!   --html              emit a self-contained HTML page instead of Markdown
-//!   --out FILE          write to FILE instead of stdout
-//! ```
+//! Run `mossim --help` for the modes and flags (the [`USAGE`] text).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -84,6 +14,79 @@ use mopsched::sim::metrics::DEFAULT_INTERVAL;
 use mopsched::sim::report::{HostProfile, RunMeta, RunReport};
 use mopsched::sim::{MachineConfig, OracleMode, SharedRing, SimStats, Simulator};
 use mopsched::{asm, rv, workload};
+
+/// The `--help` text.
+const USAGE: &str = "\
+usage: mossim [trace|report|pipeview|cpistack|rvdiff|history|diff|dashboard] [options]
+  --bench NAME        benchmark model (default gzip) or kernel with --kernel
+  --kernel NAME       run an assembly kernel instead of a benchmark model
+  --rv PROG           run a real RV32 program instead: a suite name
+                      (sum_loop, fib_rec, memcpy, strlen, gcd, collatz,
+                      bubble_sort), a .s assembly file, or a flat
+                      little-endian RV32 binary
+  --sched KIND        base | 2cycle | mop-2src | mop-wor | sf-squash |
+                      sf-scoreboard | spec-wakeup  (default mop-wor)
+  --queue N           issue-queue entries; 0 = unrestricted (default 32)
+  --stages N          extra MOP formation stages, 0..2 (default 1)
+  --insts N           committed instructions, >= 1 (default 100000)
+  --seed N            workload seed (default 42)
+  --ideal-branch      perfect branch prediction
+  --ideal-memory      perfect data cache
+  --timeline N        print the first N uop timelines
+
+trace mode (per-cycle event tracing):
+  --out FILE          write the last --last events as JSONL
+                      (default trace.jsonl)
+  --last N            ring-buffer capacity (default 4096)
+  --check             run the scheduling-invariant oracle over the
+                      stream; print violations and exit nonzero
+
+report mode (interval metrics + run report):
+  --interval N        metric snapshot interval in cycles (default 10000)
+  --json FILE         also write the report as one JSON document
+                      (Markdown always goes to stdout)
+
+pipeview mode (per-instruction pipeline trace):
+  --uops N            record the first N uops (default 256)
+  --out FILE          write Kanata log to FILE instead of stdout
+                      (open it in Konata or any Kanata viewer)
+
+cpistack mode (top-down cycle accounting):
+  --compare A,B,..    run the same program under several schedulers
+                      and print per-cause share deltas vs the first
+                      (aliases: twocycle = 2cycle, mop = mop-wor)
+  --json FILE         also write the stack(s) as one JSON document
+
+rvdiff mode (differential functional oracle over RV32 programs):
+  --rv PROG           check one program (default: the whole suite)
+  --sched KIND        check one scheduler (default: all seven)
+  --json FILE         also write a schema-checked JSON report (per
+                      program/scheduler: pass/fail, uop counts,
+                      fusion rate, sched_loop share)
+
+run ledger (content-addressed archive under results/ledger/, root
+overridable with --ledger-dir PATH or MOS_LEDGER_DIR):
+  --save              archive the run (default, report and cpistack
+                      modes): key = hash(program, config, scheduler,
+                      schema, git rev); record = totals + CPI stack
+                      (+ full report JSON in report mode)
+
+history mode (list archived runs, newest first):
+  --bench NAME        only this workload
+  --sched KIND        only this scheduler
+  --limit N           show at most N rows (default 20)
+
+diff mode (side-by-side metric deltas between two archived runs):
+  mossim diff [A] [B] A/B are `latest`, `latest-N`, or a key prefix
+                      (default: latest vs latest-1); sim-side deltas
+                      are always real, host throughput is advisory
+  --noise PCT         host-throughput noise band (default 20)
+
+dashboard mode (regression dashboard over history + ledger):
+  --history FILE      bench history (default results/bench_history.jsonl)
+  --html              emit a self-contained HTML page instead of Markdown
+  --out FILE          write to FILE instead of stdout
+";
 
 fn parse() -> Result<Args, String> {
     let mut a = Args::default();
@@ -908,13 +911,15 @@ fn run<T: TraceSource>(
 fn main() -> ExitCode {
     let a = match parse() {
         Ok(a) => a,
+        // `--help`: the usage text on stdout, success.
+        Err(e) if e.is_empty() => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        // Usage errors exit 2.
         Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("see the module docs at the top of mossim.rs for usage");
-            // Usage errors exit 2; `--help` exits 1.
-            return if e.is_empty() { ExitCode::FAILURE } else { ExitCode::from(2) };
+            eprintln!("error: {e}\n\nrun `mossim --help` for usage");
+            return ExitCode::from(2);
         }
     };
     if a.cpistack || a.rvdiff || a.history || a.diff || a.dashboard {

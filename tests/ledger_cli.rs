@@ -146,6 +146,33 @@ fn out_of_range_flags_are_usage_errors() {
 }
 
 #[test]
+fn help_prints_usage_to_stdout_and_succeeds() {
+    for args in [["--help"].as_slice(), &["-h"], &["trace", "--help"]] {
+        let out = mossim().args(args).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?} must exit 0");
+        assert!(stdout.starts_with("usage: mossim"), "{args:?}: {stdout}");
+        for flag in [
+            "--sched KIND",
+            "--insts N",
+            "--rv PROG",
+            "--compare A,B",
+            "--save",
+        ] {
+            assert!(stdout.contains(flag), "{args:?}: usage lacks `{flag}`");
+        }
+        assert!(out.stderr.is_empty(), "{args:?}: help is not an error");
+    }
+    // An unknown flag stays a usage error that points at --help.
+    let out = mossim().arg("--no-such-flag").output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag `--no-such-flag`"), "{stderr}");
+    assert!(stderr.contains("mossim --help"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
 fn rvdiff_json_report_matches_the_schema() {
     let dir = temp_dir("rvdiff");
     let json_path = dir.join("rvdiff.json");
